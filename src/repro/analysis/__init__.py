@@ -21,7 +21,10 @@ Three consumers build on the analysis:
 * :func:`~repro.analysis.linter.lint_program` — rejects malformed
   workloads (writes to the zero register, unreachable blocks, reads of
   never-written registers, bad branch targets) with file/line
-  diagnostics from the assembler's source map.
+  diagnostics from the assembler's source map, and flags provably dead
+  register writes and stores from the backward liveness fixpoint
+  (:mod:`repro.analysis.liveness`) and the per-block memory-effect
+  byte ranges (:mod:`repro.analysis.effects`).
 * the ``repro-lint`` CLI (:mod:`repro.analysis.cli`) and the ``lint``
   experiment, which render the static-vs-dynamic report through the
   run engine and its persistent cache.
@@ -29,11 +32,7 @@ Three consumers build on the analysis:
 
 from repro.analysis.cfg import CFG, BasicBlock, build_cfg
 from repro.analysis.dataflow import InstFacts, WidthAnalysis, analyze
-from repro.analysis.effects import (
-    EffectsAnalysis,
-    MemoProof,
-    analyze_effects,
-)
+from repro.analysis.effects import EffectsAnalysis, analyze_effects
 from repro.analysis.intervals import BOOL, BYTE, TOP, WORD16, Interval
 from repro.analysis.linter import Diagnostic, lint_program
 from repro.analysis.liveness import LivenessAnalysis, analyze_liveness
@@ -52,7 +51,6 @@ __all__ = [
     "WidthAnalysis",
     "analyze",
     "EffectsAnalysis",
-    "MemoProof",
     "analyze_effects",
     "LivenessAnalysis",
     "analyze_liveness",

@@ -4,7 +4,6 @@ Modes, combinable::
 
     repro-lint all                      # lint every registered workload
     repro-lint go ijpeg --summary       # lint + static width summary
-    repro-lint all --effects-report     # memory effects & memo proofs
     repro-lint all --packing-report     # verify static/dynamic soundness
 
 The default mode runs the program linter and prints ``file:line``
@@ -18,11 +17,6 @@ and reports the **static ⊆ dynamic** verdict: value/tag/edge/pack
 violations (must be zero) and the static upper bound on packed
 operations against the observed count (bound must hold).  This is the
 executable form of the analyzer's soundness claim.
-
-``--effects-report`` prints the per-block memory-effect summary and
-memo proof table from :mod:`repro.analysis.effects` — the static side
-of the fast backend's block memoization (which blocks are provably
-memo-safe, their live-in key registers, and why the rest are not).
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ import argparse
 import sys
 
 from repro.analysis.dataflow import analyze
-from repro.analysis.effects import EffectsAnalysis
 from repro.analysis.linter import lint_program, max_severity
 from repro.analysis.oracle import DifferentialOracle
 from repro.core.config import BASELINE
@@ -55,10 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the per-workload static width summary")
     parser.add_argument("--strict", action="store_true",
                         help="exit non-zero on warnings, not just errors")
-    parser.add_argument("--effects-report", action="store_true",
-                        help="print the per-block memory-effect and "
-                             "memo-proof table (static side of fast-"
-                             "backend block memoization)")
     parser.add_argument("--packing-report", action="store_true",
                         help="run the differential oracle on an "
                              "instrumented simulation and report the "
@@ -80,26 +69,13 @@ def _select(names: list[str]) -> list[str]:
     return names
 
 
-def _lint_one(name: str, scale: int, summary: bool,
-              effects_report: bool = False) -> str | None:
+def _lint_one(name: str, scale: int, summary: bool) -> str | None:
     """Lint one workload; returns the worst severity found."""
     program = get_workload(name).build(scale)
     analysis = analyze(program)
-    # One effects fixpoint serves the lint rules, the report, and the
-    # memo-proof summary alike.
-    effects = EffectsAnalysis(program, width=analysis).run()
-    diagnostics = lint_program(program, analysis, effects)
+    # One width fixpoint serves the lint rules and the summary alike.
+    diagnostics = lint_program(program, analysis)
     stats = analysis.summary()
-    if effects_report:
-        s = effects.summary()
-        print(f"{name}: {s['blocks']} blocks "
-              f"({s['pure_blocks']} pure / {s['load_only_blocks']} "
-              f"load-only / {s['store_blocks']} storing), "
-              f"{s['memo_safe_blocks']} memo-safe covering "
-              f"{s['memo_safe_insts']} insts "
-              f"({s['memo_safe_in_loops']} in loops), "
-              f"{s['trap_free_blocks']} trap-free")
-        print(effects.report())
     if summary:
         results = stats["results"] or 1
         print(f"{name}: {stats['instructions']} insts, "
@@ -173,8 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     worst = None
     order = {None: -1, "info": 0, "warning": 1, "error": 2}
     for name in names:
-        severity = _lint_one(name, args.scale, args.summary,
-                             args.effects_report)
+        severity = _lint_one(name, args.scale, args.summary)
         if order[severity] > order[worst]:
             worst = severity
     if worst == "error" or (args.strict and worst == "warning"):

@@ -1,39 +1,18 @@
-"""Per-block memory-effect summaries and block-memoization proofs.
+"""Per-block memory-effect summaries and access byte ranges.
 
-This is the bridge between the static analyses and the fast backend's
-block memoizer (:mod:`repro.fastsim.blockcache`): for every reachable
-basic block it derives
+For every reachable basic block this derives a **memory-effect
+summary** — ``pure`` (no memory traffic), ``load-only``, or ``stores``
+— with the byte range each load and store can touch, taken from the
+signed-interval width fixpoint (:mod:`repro.analysis.dataflow`): an
+access's effective address interval is ``base + displacement`` in the
+interval domain, widened to the access size.  An address interval the
+analysis lost (TOP, or reaching into the negatives) becomes an
+*unbounded* range that overlaps everything.
 
-* a **memory-effect summary** — ``pure`` (no memory traffic),
-  ``load-only``, or ``stores`` — with the byte ranges each access can
-  touch, taken from the signed-interval width fixpoint
-  (:mod:`repro.analysis.dataflow`): a load/store's effective address
-  interval is ``base + displacement`` in the interval domain, widened
-  to the access size;
-* a :class:`MemoProof` for the block's *body* (the straight-line run
-  excluding a trailing control transfer or HALT, which the memoizer
-  always executes live so prediction state never needs replaying).
-
-A body is **memo-safe** — replaying its recorded register delta and
-dynamic-instruction template is bit-exact for equal inputs — iff:
-
-* it contains **no stores** (replay must not re-apply memory writes);
-* every load's byte range is **disjoint from every reachable store's**
-  byte range in the whole program, so the loaded bytes are immutable
-  image bytes on every architected execution (width facts describe
-  architected instances, and wrong-path stores land in the discarded
-  speculative overlay, never main memory);
-* it contains **no replay-trap-eligible operations** unless the operand
-  intervals prove trap-freedom — i.e. no instruction whose static
-  facts admit speculative replay packing
-  (``InstFacts.replay_pack_possible``); a proven-impossible replay
-  pack can never trap, so the proof is exactly the static packing
-  eligibility run in reverse.
-
-The proof also carries the body's upward-exposed reads (the memo key
-restricted to the live-in set), its written registers (the recorded
-delta's domain), and natural-loop membership from
-:mod:`repro.analysis.liveness` (the memoizer's worth-recording hint).
+The program-wide ``load_ranges``/``store_ranges`` back the linter's
+L007 dead-store rule (a store disjoint from every reachable load is
+provably never observed), and the bundled
+:class:`~repro.analysis.liveness.LivenessAnalysis` backs L006.
 """
 
 from __future__ import annotations
@@ -44,9 +23,8 @@ from repro.analysis import intervals as iv
 from repro.analysis.dataflow import WidthAnalysis, analyze
 from repro.analysis.liveness import LivenessAnalysis
 from repro.isa.instruction import Program
-from repro.isa.opcodes import Opcode
 
-#: Effect kinds, ordered from most to least memoization-friendly.
+#: Effect kinds, ordered from least to most memory traffic.
 PURE = "pure"
 LOAD_ONLY = "load-only"
 STORES = "stores"
@@ -79,26 +57,6 @@ class BlockEffects:
     stores: tuple[AccessRange, ...]
 
 
-@dataclass(frozen=True)
-class MemoProof:
-    """Whether one block's body may be memoized, and why (not)."""
-
-    leader: int
-    start: int
-    end: int                            # one past the last instruction
-    body_len: int                       # instructions the memoizer replays
-    memo_safe: bool
-    reasons: tuple[str, ...]            # empty when memo_safe
-    trap_free: bool
-    has_loads: bool
-    #: upward-exposed reads of the body — the memo key's register set
-    #: (a subset of the block's live-in set by construction)
-    ue_regs: tuple[int, ...]
-    #: registers the body writes — the recorded delta's domain
-    defs: tuple[int, ...]
-    in_loop: bool
-
-
 def _access_range(analysis: WidthAnalysis, index: int,
                   size: int, is_store: bool) -> AccessRange:
     """Byte range of the memory access at ``index`` from its converged
@@ -116,7 +74,8 @@ def _access_range(analysis: WidthAnalysis, index: int,
 
 
 class EffectsAnalysis:
-    """Effects + memo proofs for one program; run :meth:`run` once."""
+    """Memory effects (plus liveness) of one program; run :meth:`run`
+    once."""
 
     def __init__(self, program: Program,
                  width: WidthAnalysis | None = None,
@@ -128,8 +87,6 @@ class EffectsAnalysis:
                          or LivenessAnalysis(program, self.cfg)).run()
         #: leader -> effect summary (reachable blocks only)
         self.effects: dict[int, BlockEffects] = {}
-        #: leader -> memo proof (reachable blocks only)
-        self.proofs: dict[int, MemoProof] = {}
         #: every reachable store's byte range, program-wide
         self.store_ranges: tuple[AccessRange, ...] = ()
         #: every reachable load's byte range, program-wide
@@ -148,8 +105,6 @@ class EffectsAnalysis:
 
         loads: list[AccessRange] = []
         stores: list[AccessRange] = []
-        per_block_loads: dict[int, list[AccessRange]] = {}
-        per_block_stores: dict[int, list[AccessRange]] = {}
         for block in self.cfg.reachable_blocks():
             bl: list[AccessRange] = []
             bs: list[AccessRange] = []
@@ -161,8 +116,6 @@ class EffectsAnalysis:
                 elif inst.is_store:
                     bs.append(_access_range(analysis, i, inst.mem_size,
                                             is_store=True))
-            per_block_loads[block.start] = bl
-            per_block_stores[block.start] = bs
             loads.extend(bl)
             stores.extend(bs)
             effect = (STORES if bs else LOAD_ONLY if bl else PURE)
@@ -171,102 +124,7 @@ class EffectsAnalysis:
                 loads=tuple(bl), stores=tuple(bs))
         self.load_ranges = tuple(loads)
         self.store_ranges = tuple(stores)
-
-        for block in self.cfg.reachable_blocks():
-            self.proofs[block.start] = self._prove(block.start,
-                                                   block.end)
         return self
-
-    def _prove(self, start: int, end: int) -> MemoProof:
-        program = self.program
-        instructions = program.instructions
-        analysis = self.width
-
-        last = instructions[end - 1]
-        body_end = end - 1 if (last.is_branch
-                               or last.opcode is Opcode.HALT) else end
-        body_len = body_end - start
-        reasons: list[str] = []
-        has_loads = False
-        trap_free = True
-
-        if body_len <= 0:
-            reasons.append("empty body (lone control transfer)")
-
-        for i in range(start, body_end):
-            inst = instructions[i]
-            facts = analysis.facts[i]
-            if inst.is_store:
-                reasons.append(f"inst#{i} stores to memory")
-                continue
-            if inst.is_load:
-                has_loads = True
-                rng = _access_range(analysis, i, inst.mem_size,
-                                    is_store=False)
-                if rng.unbounded:
-                    reasons.append(f"inst#{i} load address is "
-                                   f"statically unbounded")
-                else:
-                    clash = next((s for s in self.store_ranges
-                                  if rng.overlaps(s)), None)
-                    if clash is not None:
-                        where = ("anywhere" if clash.unbounded else
-                                 f"[{clash.lo:#x}, {clash.hi:#x}]")
-                        reasons.append(
-                            f"inst#{i} load [{rng.lo:#x}, {rng.hi:#x}] "
-                            f"may alias store inst#{clash.index} "
-                            f"({where})")
-            if facts is not None and facts.replay_pack_possible:
-                trap_free = False
-
-        ue, defs = LivenessAnalysis.block_use_defs(program, start,
-                                                   body_end)
-        return MemoProof(
-            leader=start, start=start, end=end, body_len=body_len,
-            memo_safe=not reasons, reasons=tuple(reasons),
-            trap_free=trap_free, has_loads=has_loads,
-            ue_regs=tuple(sorted(ue)), defs=tuple(sorted(defs)),
-            in_loop=start in self.liveness.loop_blocks)
-
-    # ------------------------------------------------------------ summaries
-
-    def summary(self) -> dict:
-        """Aggregate statistics for reports and the bench columns."""
-        self.run()
-        proofs = list(self.proofs.values())
-        safe = [p for p in proofs if p.memo_safe]
-        effects = list(self.effects.values())
-        return {
-            "blocks": len(proofs),
-            "pure_blocks": sum(e.effect == PURE for e in effects),
-            "load_only_blocks": sum(e.effect == LOAD_ONLY
-                                    for e in effects),
-            "store_blocks": sum(e.effect == STORES for e in effects),
-            "memo_safe_blocks": len(safe),
-            "memo_safe_insts": sum(p.body_len for p in safe),
-            "memo_safe_in_loops": sum(p.in_loop for p in safe),
-            "trap_free_blocks": sum(p.trap_free for p in proofs),
-            "loop_blocks": len(self.liveness.loop_blocks),
-        }
-
-    def report(self) -> str:
-        """Per-block text table for ``repro-lint --effects-report``."""
-        self.run()
-        lines = [f"{'block':>10s} {'len':>4s} {'effect':>9s} "
-                 f"{'loop':>4s} {'memo':>5s} {'trapfree':>8s} "
-                 f"{'key regs':12s} reason"]
-        for lead in sorted(self.proofs):
-            p = self.proofs[lead]
-            e = self.effects[lead]
-            key = ",".join(f"r{r}" for r in p.ue_regs) or "-"
-            reason = p.reasons[0] if p.reasons else "-"
-            lines.append(
-                f"{p.start:>4d}..{p.end - 1:<4d} {p.body_len:>4d} "
-                f"{e.effect:>9s} {'yes' if p.in_loop else '-':>4s} "
-                f"{'safe' if p.memo_safe else '-':>5s} "
-                f"{'yes' if p.trap_free else '-':>8s} "
-                f"{key:12s} {reason}")
-        return "\n".join(lines)
 
 
 def analyze_effects(program: Program,

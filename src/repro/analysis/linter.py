@@ -79,14 +79,12 @@ def _location(program: Program, index: int) -> str | None:
 
 def lint_program(program: Program,
                  analysis: WidthAnalysis | None = None,
-                 effects: EffectsAnalysis | None = None,
                  ) -> list[Diagnostic]:
-    """Lint ``program``; reuses ``analysis`` (and ``effects``) when the
-    caller already ran them (the CLI does, to render widths, memo
-    proofs, and lint from one set of fixpoints)."""
+    """Lint ``program``; reuses ``analysis`` when the caller already ran
+    it (the CLI does, to render the width summary and lint from one
+    fixpoint)."""
     analysis = analysis or analyze(program)
-    effects = (effects
-               or EffectsAnalysis(program, width=analysis)).run()
+    effects = EffectsAnalysis(program, width=analysis).run()
     cfg = analysis.cfg
     n = len(program)
     out: list[Diagnostic] = []

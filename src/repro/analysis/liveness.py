@@ -1,9 +1,8 @@
-"""Backward register-liveness fixpoint and natural-loop detection.
+"""Backward register-liveness fixpoint.
 
 Runs over the recovered CFG (:mod:`repro.analysis.cfg`), complementing
 the forward width fixpoint (:mod:`repro.analysis.dataflow`) with the
-backward facts the block-memoization proof and the dead-code lint rules
-need:
+backward facts the dead-write lint rule needs:
 
 * per-block **use/def summaries** — ``use`` is the set of upward-exposed
   register reads (read before any write inside the block), ``defs`` the
@@ -15,16 +14,10 @@ need:
   deliberately over-approximates indirect control flow (``ret`` may
   return to any call site, ``jmp`` anywhere), so the computed live sets
   over-approximate true liveness — which makes every *dead* verdict
-  ("not live here") sound;
-* **dominators and natural loops** — the iterative dominator fixpoint
-  over reachable blocks, back edges (``t -> h`` with ``h`` dominating
-  ``t``), and the natural loop body of each back edge.  Loop membership
-  tells the memoizer which blocks re-execute enough to be worth
-  recording and gives reports a "hot by construction" column.
+  ("not live here") sound.
 
-Everything here is a pure function of the program; results are used by
-:mod:`repro.analysis.effects` (memo proofs), the linter's L006/L007
-rules, and ``repro-lint --effects-report``.
+Everything here is a pure function of the program; the linter's L006
+rule reads :meth:`LivenessAnalysis.dead_writes`.
 """
 
 from __future__ import annotations
@@ -49,17 +42,13 @@ class BlockLiveness:
 
 
 class LivenessAnalysis:
-    """Backward liveness + loop structure of one program; run once."""
+    """Backward liveness of one program; run once."""
 
     def __init__(self, program: Program, cfg: CFG | None = None) -> None:
         self.program = program
         self.cfg = cfg or build_cfg(program)
         #: leader -> converged block facts (reachable blocks only)
         self.blocks: dict[int, BlockLiveness] = {}
-        #: loop headers -> frozenset of member block leaders
-        self.loops: dict[int, frozenset[int]] = {}
-        #: leaders of blocks inside at least one natural loop
-        self.loop_blocks: frozenset[int] = frozenset()
         self._ran = False
 
     # ----------------------------------------------------------- summaries
@@ -138,60 +127,7 @@ class LivenessAnalysis:
                                 defs=defs[lead], live_in=live_in[lead],
                                 live_out=live_out[lead])
             for lead in leaders}
-        self._find_loops(leaders, succs, preds)
         return self
-
-    # ---------------------------------------------------- loops/dominators
-
-    def _find_loops(self, leaders: list[int],
-                    succs: dict[int, tuple[int, ...]],
-                    preds: dict[int, list[int]]) -> None:
-        """Iterative dominator fixpoint, back edges, natural loops."""
-        entry = self.cfg.leader_of[self.program.entry] \
-            if 0 <= self.program.entry < len(self.program) else leaders[0]
-        if entry not in succs:
-            entry = leaders[0]
-        universe = frozenset(leaders)
-        dom: dict[int, frozenset[int]] = {
-            lead: universe for lead in leaders}
-        dom[entry] = frozenset((entry,))
-        changed = True
-        while changed:
-            changed = False
-            for lead in leaders:
-                if lead == entry:
-                    continue
-                ps = preds[lead]
-                if ps:
-                    new = frozenset.intersection(*(dom[p] for p in ps))
-                else:
-                    new = frozenset()
-                new = new | {lead}
-                if new != dom[lead]:
-                    dom[lead] = new
-                    changed = True
-
-        loops: dict[int, set[int]] = {}
-        for tail in leaders:
-            for head in succs[tail]:
-                if head not in dom[tail]:
-                    continue
-                # Back edge tail -> head: the natural loop is head plus
-                # everything that reaches tail without passing head.
-                body = loops.setdefault(head, {head})
-                stack = [tail]
-                while stack:
-                    node = stack.pop()
-                    if node in body:
-                        continue
-                    body.add(node)
-                    stack.extend(p for p in preds[node] if p not in body)
-        self.loops = {head: frozenset(body)
-                      for head, body in sorted(loops.items())}
-        members: set[int] = set()
-        for body in self.loops.values():
-            members |= body
-        self.loop_blocks = frozenset(members)
 
     # ----------------------------------------------------------- lint hooks
 

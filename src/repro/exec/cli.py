@@ -67,11 +67,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser,
     group.add_argument("--retries", type=int, default=2, metavar="N",
                        help="re-attempts per failed job before giving "
                             "up on it (default 2)")
-    group.add_argument("--no-memo", action="store_true",
-                       help="disable proof-carrying block memoization "
-                            "in the fast backend (escape hatch; "
-                            "results are bit-identical either way, "
-                            "only wall-clock changes)")
     return group
 
 
@@ -100,7 +95,6 @@ def context_from_args(args: argparse.Namespace,
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,
-        memo=not args.no_memo,
     )
     fields.update(overrides)
     return RunContext(**fields)

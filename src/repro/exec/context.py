@@ -63,11 +63,6 @@ class RunContext:
     #: pairs — the matching worker applies the fault before simulating
     #: (:mod:`repro.robust.faults`).  Dicts are accepted and frozen.
     faults: tuple[tuple[str, str], ...] = ()
-    #: proof-carrying block memoization in the fast backend
-    #: (:mod:`repro.fastsim.blockcache`).  ``--no-memo`` is the escape
-    #: hatch: results are bit-identical either way (CI-enforced), only
-    #: wall-clock changes.  Ignored by the reference backend.
-    memo: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:

@@ -179,7 +179,7 @@ class BackendDivergence(RuntimeError):
 
 
 def _simulate(job: Job, obs: bool, fault: str | None = None,
-              backend: str = "reference", memo: bool = True) -> dict:
+              backend: str = "reference") -> dict:
     """Execute one job (worker-side): warmup, detailed run, serialize.
 
     Returns ``{"result": <dict>, "manifest": <dict | None>, "timing":
@@ -198,22 +198,17 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     machine, so obs forces the reference path); ``"both"`` runs the
     reference then the fast backend on an identical program and raises
     :class:`BackendDivergence` naming the divergent result paths unless
-    the serialized results are equal.  ``memo`` gates proof-carrying
-    block memoization inside the fast backend (``--no-memo``); the
-    reference machine ignores it.
+    the serialized results are equal.
     """
     t_start = epoch_now()
     apply_fault(fault)
     workload = get_workload(job.workload)
     warmup = resolve_warmup(workload, job.scale)
-    fast_kwargs = {}
     machine_cls = Machine
     if backend == "fast" and not obs:
         from repro.fastsim.machine import FastMachine
         machine_cls = FastMachine
-        fast_kwargs = {"memo": memo}
-    machine = machine_cls(workload.build(job.scale), job.config,
-                          **fast_kwargs)
+    machine = machine_cls(workload.build(job.scale), job.config)
     sampler = None
     if obs:
         sampler = IntervalSampler(window=job.config.obs.sampler_window)
@@ -223,8 +218,7 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     cross = None
     if backend == "both":
         from repro.fastsim.machine import FastMachine
-        cross = FastMachine(workload.build(job.scale), job.config,
-                            memo=memo)
+        cross = FastMachine(workload.build(job.scale), job.config)
         cross.fast_forward(warmup)
     t_run = epoch_now()
     result = machine.run(max_insts=workload.window)
@@ -254,17 +248,6 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     registry.histogram("sim.warmup_seconds").observe(t_run - t_start)
     registry.histogram("sim.run_seconds").observe(t_serialize - t_run)
     registry.histogram("sim.serialize_seconds").observe(t_end - t_serialize)
-    for sim in (machine, cross):
-        stats = getattr(sim, "memo_stats", None)
-        if stats is None:
-            continue
-        memo_stats = stats()
-        if not memo_stats.get("enabled"):
-            continue
-        registry.counter("sim.memo.hits").inc(memo_stats["hits"])
-        registry.counter("sim.memo.misses").inc(memo_stats["misses"])
-        registry.counter("sim.memo.replayed_insts").inc(
-            memo_stats["replayed_insts"])
     return {
         "result": payload_result,
         "manifest": manifest,
@@ -490,7 +473,7 @@ class RunEngine:
                 try:
                     payload = _simulate(job, self.ctx.wants_obs,
                                         self.ctx.fault_for(job.workload),
-                                        self.ctx.backend, self.ctx.memo)
+                                        self.ctx.backend)
                 except Exception as err:  # noqa: BLE001 — worker boundary
                     attempts.charge(job, FAILED, f"{type(err).__name__}: "
                                                  f"{err}",
@@ -561,7 +544,7 @@ class RunEngine:
             futures.append(
                 (job, pool.submit(_simulate, job, ctx.wants_obs,
                                   ctx.fault_for(job.workload),
-                                  ctx.backend, ctx.memo)))
+                                  ctx.backend)))
         requeue: list[Job] = []
         broke = False
         for job, future in futures:
@@ -632,7 +615,7 @@ class RunEngine:
             submit_epoch = epoch_now()
             future = pool.submit(_simulate, job, ctx.wants_obs,
                                  ctx.fault_for(job.workload),
-                                 ctx.backend, ctx.memo)
+                                 ctx.backend)
             try:
                 payload = future.result(timeout=ctx.timeout)
             except FutureTimeout:

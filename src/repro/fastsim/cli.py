@@ -25,10 +25,7 @@ The CLI accepts the shared run-engine flag group
 comparison cells in parallel worker processes and ``--timeout`` bounds
 each cell; the cache and backend knobs are accepted for flag uniformity
 but deliberately inert here — an equivalence *proof* always simulates
-both backends fresh, recalling nothing.  ``--no-memo`` *is* live: it
-turns off the fast backend's proof-carrying block memoizer, and CI runs
-the matrix in both positions because each is its own bit-exactness
-claim.
+both backends fresh, recalling nothing.
 """
 
 from __future__ import annotations
@@ -49,20 +46,19 @@ from repro.perf.clock import perf_now
 from repro.workloads.registry import all_workloads, get_workload, \
     resolve_warmup
 
-#: Document schema for the ``--out`` artifact.
-SCHEMA = "repro-equivalence/1"
+#: Document schema for the ``--out`` artifact.  ``/2`` dropped the
+#: block-memoization fields from the document and its rows.
+SCHEMA = "repro-equivalence/2"
 
 
 def compare_one(workload_name: str, config: MachineConfig, scale: int,
-                window: int | None, memo: bool = True) -> dict:
+                window: int | None) -> dict:
     """Run both backends on one (workload, config) cell; returns the
     comparison row (wall times are informational, never compared).
-    ``memo`` gates the fast backend's proof-carrying block memoizer —
-    the equivalence matrix is CI-gated in *both* positions, since the
-    memoized and plain feeds are independent bit-exactness claims."""
+    ``window`` caps the detailed window (None: the workload's own)."""
     workload = get_workload(workload_name)
     warmup = resolve_warmup(workload, scale)
-    insts = window or workload.window
+    insts = workload.window if window is None else window
 
     reference = Machine(workload.build(scale), config)
     reference.fast_forward(warmup)
@@ -70,13 +66,12 @@ def compare_one(workload_name: str, config: MachineConfig, scale: int,
     ref_result = reference.run(max_insts=insts)
     ref_wall = perf_now() - t0
 
-    fast = FastMachine(workload.build(scale), config, memo=memo)
+    fast = FastMachine(workload.build(scale), config)
     fast.fast_forward(warmup)
     t0 = perf_now()
     fast_result = fast.run(max_insts=insts)
     fast_wall = perf_now() - t0
 
-    memo_stats = fast.memo_stats()
     ref_dict = result_to_dict(ref_result)
     divergences = dict_divergences(ref_dict, result_to_dict(fast_result))
     return {
@@ -88,16 +83,14 @@ def compare_one(workload_name: str, config: MachineConfig, scale: int,
         "ref_wall_seconds": round(ref_wall, 4),
         "fast_wall_seconds": round(fast_wall, 4),
         "speedup": round(ref_wall / fast_wall, 2) if fast_wall else None,
-        "memo": memo,
-        "memo_hit_rate": memo_stats["hit_rate"] if memo else None,
     }
 
 
 def render_table(rows: list[dict]) -> str:
     """The per-workload diff table (plain text, artifact-friendly)."""
     lines = [f"{'workload':16s} {'status':>8s} {'cycles':>10s} "
-             f"{'committed':>10s} {'ref':>7s} {'fast':>7s} {'x':>6s} "
-             f"{'memo':>6s}  divergent paths"]
+             f"{'committed':>10s} {'ref':>7s} {'fast':>7s} {'x':>6s}"
+             f"  divergent paths"]
     for row in rows:
         status = "ok" if row["match"] else "DIVERGED"
         paths = ("-" if row["match"]
@@ -105,14 +98,10 @@ def render_table(rows: list[dict]) -> str:
                  + (" ..." if len(row["divergences"]) > 6 else ""))
         speedup = (f"{row['speedup']:>5.1f}x"
                    if row["speedup"] is not None else f"{'-':>6s}")
-        hit_rate = row.get("memo_hit_rate")
-        memo_col = (f"{hit_rate:>5.1%}" if hit_rate is not None
-                    else f"{'off':>6s}")
         lines.append(
             f"{row['workload']:16s} {status:>8s} {row['cycles']:>10,d} "
             f"{row['committed']:>10,d} {row['ref_wall_seconds']:>6.2f}s "
-            f"{row['fast_wall_seconds']:>6.2f}s {speedup} {memo_col}"
-            f"  {paths}")
+            f"{row['fast_wall_seconds']:>6.2f}s {speedup}  {paths}")
     return "\n".join(lines)
 
 
@@ -151,14 +140,13 @@ def _run_cells(cells: list[tuple],
     artifact are identical either way)."""
     if jobs <= 1:
         rows = []
-        for name, config, scale, window, memo in cells:
+        for name, config, scale, window in cells:
             progress(name)
-            rows.append(compare_one(name, config, scale, window, memo))
+            rows.append(compare_one(name, config, scale, window))
         return rows
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(compare_one, name, config, scale, window,
-                               memo)
-                   for name, config, scale, window, memo in cells]
+        futures = [pool.submit(compare_one, name, config, scale, window)
+                   for name, config, scale, window in cells]
         rows = []
         for (name, *_rest), future in zip(cells, futures):
             progress(name)
@@ -170,8 +158,7 @@ def _run_cells(cells: list[tuple],
                     "divergences": [f"timed out after {timeout}s"],
                     "cycles": 0, "committed": 0,
                     "ref_wall_seconds": 0.0, "fast_wall_seconds": 0.0,
-                    "speedup": None, "memo": None,
-                    "memo_hit_rate": None,
+                    "speedup": None,
                 })
         return rows
 
@@ -180,6 +167,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     validate_engine_args(parser, args)
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
+    if args.window is not None and args.window < 1:
+        parser.error("--window must be >= 1")
     names = (list(args.workloads) if args.workloads
              else [w.name for w in all_workloads()])
     configs = named_configs()
@@ -193,8 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[equivalence] {_cfg}/{name}",
                   file=sys.stderr, flush=True)
 
-        cells = [(name, config, args.scale, args.window,
-                  not args.no_memo)
+        cells = [(name, config, args.scale, args.window)
                  for name in names]
         rows = _run_cells(cells, args.jobs, args.timeout, progress)
         divergent += sum(1 for row in rows if not row["match"])
@@ -213,7 +203,6 @@ def main(argv: list[str] | None = None) -> int:
             "schema": SCHEMA,
             "scale": args.scale,
             "window": args.window,
-            "memo": not args.no_memo,
             "divergent": divergent,
             "total": total,
             "configs": {

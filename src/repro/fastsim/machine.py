@@ -33,15 +33,7 @@ optimized SimpleScalar-style for raw speed:
   so the walk would return ``l1_latency`` and change nothing but
   hit/dirty counters (cache *latencies*, and therefore cycles, are
   unaffected; only ``CacheStats`` counters — which no
-  :class:`~repro.core.machine.RunResult` field reads — drift);
-* statically *proven* basic-block bodies are memoized
-  (:mod:`repro.fastsim.blockcache`): on re-entry with an identical
-  live-in key the fetch stage replays recorded entry templates and a
-  register delta instead of re-executing the functional feed.  Replayed
-  entries flow through the unchanged dispatch/issue/writeback/commit
-  stages, so every timing decision, capture row, and packing/replay
-  outcome is reproduced rather than approximated.  ``memo=False``
-  (the RunContext ``--no-memo`` escape hatch) disables it.
+  :class:`~repro.core.machine.RunResult` field reads — drift).
 
 Everything the timing model decides (fetch breaks, dependences, issue
 selection, packing, replay traps, misprediction recovery, cache
@@ -129,8 +121,7 @@ class FastMachine:
     """One fast-backend simulated processor bound to one program."""
 
     def __init__(self, program: Program,
-                 config: MachineConfig = BASELINE,
-                 memo: bool = True) -> None:
+                 config: MachineConfig = BASELINE) -> None:
         self.program = program
         self.config = config
         self.cp = compile_program(program)
@@ -138,24 +129,6 @@ class FastMachine:
         self.capture = TraceCapture()
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.done = False
-
-        # ---- block memoization (proof-carrying; see blockcache) -----
-        self._memo = None
-        if memo:
-            from repro.fastsim.blockcache import BlockMemo
-            self._memo = BlockMemo(
-                program,
-                require_trap_free=(config.packing.enabled
-                                   and config.packing.replay))
-        # pending replay templates (survive _loop exits mid-block)
-        self._rp_rows: tuple = ()
-        self._rp_i = 0
-        # in-flight recording (survives _loop exits mid-block)
-        self._rec_rows: list | None = None
-        self._rec_left = 0
-        self._rec_slot: dict | None = None
-        self._rec_key: tuple | None = None
-        self._rec_defs: tuple = ()
 
         # ---- functional (feed) state --------------------------------
         self._memory = MainMemory(program.image)
@@ -405,99 +378,12 @@ class FastMachine:
 
     # --------------------------------------------------------------- run
 
-    def _adapt_give_up(self, plan: list, leader: int) -> bool:
-        """Bump one block's miss counter; drop the block from the memo
-        plan when its hits have not kept pace (see
-        :data:`repro.fastsim.blockcache.ADAPT_PROBES`).  Returns True
-        when the block was dropped."""
-        from repro.fastsim.blockcache import ADAPT_MIN_HITS, ADAPT_PROBES
-        nm = plan[4] + 1
-        plan[4] = nm
-        if nm % ADAPT_PROBES or plan[5] >= max(ADAPT_MIN_HITS, nm >> 4):
-            return False
-        memo = self._memo
-        del memo.plan[leader]
-        del memo.table[leader]
-        return True
-
     def fast_forward(self, instructions: int) -> int:
-        """Warm caches and predictors functionally (Section 3.2).
-
-        Memoized block bodies replay here too: a hit applies the
-        recorded register delta and touches the I/D caches with the
-        recorded PCs/addresses — the only side effects the functional
-        body would have had (it contains no control transfers and no
-        stores, so predictor/BTB/RAS and memory are untouched).
-        """
+        """Warm caches and predictors functionally (Section 3.2)."""
         self._fast_mode = True
         executed = 0
         cp_is_store = self.cp.is_store
-        memo = self._memo
-        rec_rows: list | None = None
-        rec_left = 0
-        rec_slot: dict = {}
-        rec_key: tuple = ()
-        rec_defs: tuple = ()
         while executed < instructions:
-            if memo is not None and not rec_left and not self._halted \
-                    and not self._spec:
-                plan = memo.plan.get(self._fetch_index)
-                if plan is not None:
-                    body_len, ue, defs, _has_loads = plan[:4]
-                    if body_len <= instructions - executed:
-                        regs = self._regs
-                        tags = self._tags
-                        fload = self._from_load
-                        leader = self._fetch_index
-                        nue = len(ue)
-                        if nue == 1:
-                            r0 = ue[0]
-                            key = (regs[r0], tags[r0], fload[r0])
-                        elif nue == 2:
-                            r0, r1 = ue
-                            key = (regs[r0], tags[r0], fload[r0],
-                                   regs[r1], tags[r1], fload[r1])
-                        else:
-                            key = ()
-                            for r0 in ue:
-                                key += (regs[r0], tags[r0], fload[r0])
-                        slot = memo.table[leader]
-                        found = slot.get(key)
-                        if found is not None:
-                            if found.__class__ is tuple:
-                                rows, delta = found
-                                for rd, val, tag, flb in delta:
-                                    regs[rd] = val
-                                    tags[rd] = tag
-                                    fload[rd] = flb
-                                self._fetch_index = leader + body_len
-                                self._seq += body_len
-                                ifetch = self._ifetch
-                                daccess = self._daccess
-                                for t in rows:
-                                    ifetch(t[3])
-                                    addr = t[22]
-                                    if addr is not None:
-                                        daccess(addr)
-                                executed += body_len
-                                plan[5] += 1
-                                memo.hits += 1
-                                memo.ff_replayed += body_len
-                                continue
-                            # Second sighting: record this execution.
-                            memo.misses += 1
-                            if not self._adapt_give_up(plan, leader):
-                                rec_rows = []
-                                rec_left = body_len
-                                rec_slot = slot
-                                rec_key = key
-                                rec_defs = defs
-                        elif len(slot) < memo.key_cap:
-                            # First sighting: mark only (keys seen once
-                            # never repay recording a template).
-                            memo.misses += 1
-                            if not self._adapt_give_up(plan, leader):
-                                slot[key] = 1
             e = self._next_inst()
             if e is None:
                 break
@@ -506,18 +392,6 @@ class FastMachine:
             if addr is not None:
                 self._daccess(addr, is_write=cp_is_store[e[E_CIDX]])
             executed += 1
-            if rec_left:
-                rec_rows.append(e[:])
-                rec_left -= 1
-                if not rec_left:
-                    regs = self._regs
-                    tags = self._tags
-                    fload = self._from_load
-                    rec_slot[rec_key] = (
-                        tuple(rec_rows),
-                        tuple((r, regs[r], tags[r], fload[r])
-                              for r in rec_defs))
-                    rec_rows = None
         self._fast_mode = False
         return executed
 
@@ -530,8 +404,8 @@ class FastMachine:
         # cycles (entries reference only *older* entries; phase 2 builds
         # flat numpy columns); pausing the cyclic collector saves its
         # generation scans — otherwise the loop's deferred allocations
-        # (memo key tuples and templates above all) trigger a full
-        # collection right inside the column transpose.
+        # (entry lists and capture rows) trigger a full collection
+        # right inside the column transpose.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -791,35 +665,6 @@ class FastMachine:
         prows_append = self._packed_rows.append
         rrows_append = self._replay_rows.append
 
-        # ---- block memoization (see blockcache module docstring)
-        memo = self._memo
-        if memo is not None and memo.plan:
-            from repro.fastsim.blockcache import ADAPT_MIN_HITS, \
-                ADAPT_PROBES
-            memo_plan = memo.plan
-            memo_plan_get = memo_plan.get
-            memo_table = memo.table
-            key_cap = memo.key_cap
-            adapt_probes = ADAPT_PROBES
-            adapt_min = ADAPT_MIN_HITS
-        else:
-            memo_plan = None
-            memo_plan_get = None
-            memo_table = None
-            key_cap = 0
-            adapt_probes = adapt_min = 0
-        rp_rows = self._rp_rows          # pending replay templates
-        rp_n = len(rp_rows)
-        rp_i = self._rp_i
-        rec_rows = self._rec_rows        # in-flight recording
-        rec_left = self._rec_left
-        rec_slot = self._rec_slot
-        rec_key = self._rec_key
-        rec_defs = self._rec_defs
-        d_memo_hits = 0
-        d_memo_misses = 0
-        d_memo_replayed = 0
-
         # ---- statistics deltas (flushed to self.stats on exit)
         stats = self.stats
         committed = stats.committed
@@ -931,14 +776,6 @@ class FastMachine:
                         nentries = len(kept)
                         fetchq.clear()
                         nfq = 0
-                        # drop any in-flight memoized replay: its
-                        # emitted entries were wrong-path and are gone
-                        # with the fetch queue (recording never spans a
-                        # recovery: it only starts on the good path and
-                        # a body fetches no control transfer)
-                        rp_n = 0
-                        rp_i = 0
-                        rp_rows = ()
                         # rewind architected state to the checkpoint
                         regs, tags, fload, fetch_index = checkpoint
                         smem_discard()
@@ -1232,123 +1069,8 @@ class FastMachine:
             if cycle >= resume and cycle >= stall and not halted:
                 nfetched = 0
                 while nfetched < fetch_width and nfq < queue_size:
-                    if rp_i < rp_n:
-                        # ---- memoized replay: one template per fetch
-                        # slot, re-stamped with the live seq / fetch
-                        # cycle / spec flag; everything downstream
-                        # (dispatch, issue, capture, commit) sees an
-                        # entry identical to what the feed would build.
-                        t = rp_rows[rp_i]
-                        rp_i += 1
-                        e = t[:]
-                        e[0] = seq
-                        seq += 1
-                        e[5] = cycle
-                        e[24] = spec
-                        pc = t[3]
-                        blk = pc // blk_b
-                        page = pc // page_b
-                        if blk == iblk and page == ipage:
-                            lat = l1_lat
-                        else:
-                            lat = i_walk(pc)
-                            if lat == l1_lat:
-                                iblk = blk
-                                ipage = page
-                            else:
-                                iblk = -1
-                        d_fetched += 1
-                        d_memo_replayed += 1
-                        fq_append(e)
-                        nfq += 1
-                        nfetched += 1
-                        if lat > l1_lat:
-                            # I-cache miss: same stall as a live fetch
-                            e[5] = cycle + lat - 1
-                            stall = cycle + lat - 1
-                            break
-                        continue
                     # ---- functional feed, inlined (twin of _next_inst)
                     raw = fetch_index
-                    if memo_plan_get is not None and not rec_left:
-                        plan = memo_plan_get(raw)
-                        if plan is not None:
-                            body_len, ue, defs, has_loads = plan[:4]
-                            # Wrong-path hits are sound for load-free
-                            # bodies, or while the speculative store
-                            # overlay is empty (loads then read the
-                            # same immutable main-memory bytes the
-                            # recording did).
-                            if not spec or not has_loads or not overlay:
-                                nue = len(ue)
-                                if nue == 1:
-                                    r0 = ue[0]
-                                    key = (regs[r0], tags[r0],
-                                           fload[r0])
-                                elif nue == 2:
-                                    r0, r1 = ue
-                                    key = (regs[r0], tags[r0],
-                                           fload[r0], regs[r1],
-                                           tags[r1], fload[r1])
-                                else:
-                                    key = ()
-                                    for r0 in ue:
-                                        key += (regs[r0], tags[r0],
-                                                fload[r0])
-                                slot = memo_table[raw]
-                                found = slot.get(key)
-                                if found is not None:
-                                    if found.__class__ is tuple:
-                                        rows, delta = found
-                                        for rd, val, tg, flb in delta:
-                                            regs[rd] = val
-                                            tags[rd] = tg
-                                            fload[rd] = flb
-                                        fetch_index = raw + body_len
-                                        rp_rows = rows
-                                        rp_n = len(rows)
-                                        rp_i = 0
-                                        plan[5] += 1
-                                        d_memo_hits += 1
-                                        continue
-                                    if not spec:
-                                        # Second sighting of the key:
-                                        # record this execution.
-                                        d_memo_misses += 1
-                                        nm = plan[4] + 1
-                                        plan[4] = nm
-                                        if (not nm % adapt_probes
-                                                and plan[5] < max(
-                                                    adapt_min,
-                                                    nm >> 4)):
-                                            # Adaptive give-up: the
-                                            # block's keys are noise.
-                                            del memo_plan[raw]
-                                            del memo_table[raw]
-                                            if not memo_plan:
-                                                memo_plan_get = None
-                                        else:
-                                            rec_rows = []
-                                            rec_left = body_len
-                                            rec_slot = slot
-                                            rec_key = key
-                                            rec_defs = defs
-                                elif not spec and len(slot) < key_cap:
-                                    # First sighting: mark only.  Keys
-                                    # seen once never repay the cost of
-                                    # recording a template.
-                                    d_memo_misses += 1
-                                    nm = plan[4] + 1
-                                    plan[4] = nm
-                                    if (not nm % adapt_probes
-                                            and plan[5] < max(
-                                                adapt_min, nm >> 4)):
-                                        del memo_plan[raw]
-                                        del memo_table[raw]
-                                        if not memo_plan:
-                                            memo_plan_get = None
-                                    else:
-                                        slot[key] = 1
                     cidx = raw if 0 <= raw < cp_n else cp_n
                     kind = cp_kind[cidx]
                     sp = spec
@@ -1581,18 +1303,6 @@ class FastMachine:
                          a, b, ta, tb, fl, res, addr, mis, sp, -1, False,
                          0]
                     seq += 1
-                    if rec_left:
-                        # ---- memo recording: copy the pristine entry
-                        # as a template; at body end, snapshot the
-                        # register delta the body's writes produced.
-                        rec_rows.append(e[:])
-                        rec_left -= 1
-                        if not rec_left:
-                            rec_slot[rec_key] = (
-                                tuple(rec_rows),
-                                tuple((r, regs[r], tags[r], fload[r])
-                                      for r in rec_defs))
-                            rec_rows = None
                     # ---- I-side access with the same-block shortcut
                     blk = pc // blk_b
                     page = pc // page_b
@@ -1644,17 +1354,6 @@ class FastMachine:
         self._dblk = dblk
         self._dpage = dpage
         self.done = done
-        self._rp_rows = rp_rows if rp_i < rp_n else ()
-        self._rp_i = rp_i if rp_i < rp_n else 0
-        self._rec_rows = rec_rows
-        self._rec_left = rec_left
-        self._rec_slot = rec_slot
-        self._rec_key = rec_key
-        self._rec_defs = rec_defs
-        if memo is not None:
-            memo.hits += d_memo_hits
-            memo.misses += d_memo_misses
-            memo.replayed += d_memo_replayed
         if comb is not None:
             comb.global_._history = ghist
         stats.cycles += d_cycles
@@ -1681,17 +1380,3 @@ class FastMachine:
     def reg(self, index: int) -> int:
         """Architected value of register ``index`` (test helper)."""
         return 0 if index == 31 else self._regs[index]
-
-    def memo_stats(self) -> dict:
-        """Block-memoization counters (diagnostics for metrics and
-        ``repro-bench`` — never part of the serialized RunResult, which
-        stays bit-identical with memoization on or off)."""
-        if self._memo is None:
-            return {"enabled": False, "hits": 0, "misses": 0,
-                    "replayed_insts": 0, "hit_rate": 0.0}
-        stats = self._memo.stats()
-        stats["enabled"] = True
-        fetched = self.stats.fetched
-        stats["hit_rate"] = (round(stats["replayed_insts"] / fetched, 4)
-                             if fetched else 0.0)
-        return stats

@@ -52,9 +52,9 @@ from repro.perf.metrics import get_registry
 
 #: Benchmark document schema.  ``/2`` added the fast-backend columns
 #: (``fast_*``, ``fast_speedup``) to every workload row; ``/3`` added
-#: ``memo_hit_rate`` (fraction of fast-backend fetched instructions
-#: served by proof-carrying block memoization).
-SCHEMA = "repro-bench/3"
+#: a block-memoization hit-rate column, which ``/4`` dropped again
+#: along with the memoizer.
+SCHEMA = "repro-bench/4"
 
 #: The pinned default matrix: one SPEC-style integer workload, one
 #: compression kernel, one MediaBench kernel — small enough for CI,
@@ -68,14 +68,10 @@ DEFAULT_THRESHOLD = 0.25
 #: Minimum in-run fast-backend speedup (fast cycles/sec over reference
 #: cycles/sec, same run) before ``--fast-floor`` fails.  Measured
 #: serial full-window speedups on an idle development host are
-#: 4.7-5.5x (compress the slowest, g721-encode the fastest); block
-#: memoization is bit-exact but roughly cost-neutral on top of that —
-#: memo-safe bodies are 2-3 instructions, and the timing stages the
-#: replay must still run dominate per-entry cost — so the floor is NOT
-#: raised above what the un-memoized path clears.  3.0 leaves ~35%
-#: headroom under the slowest measured workload so shared CI runners
-#: with noisy neighbours don't flake, while still catching any change
-#: that erodes the fast path back toward interpreter speed.
+#: 4.7-5.5x (compress the slowest, g721-encode the fastest).  3.0
+#: leaves ~35% headroom under the slowest measured workload so shared
+#: CI runners with noisy neighbours don't flake, while still catching
+#: any change that erodes the fast path back toward interpreter speed.
 DEFAULT_FAST_FLOOR = 3.0
 
 
@@ -120,12 +116,9 @@ def _sim_once(workload_name: str, scale: int, window: int | None,
     t0 = perf_now()
     result = machine.run(max_insts=window or workload.window)
     wall = perf_now() - t0
-    out = {"cycles": result.stats.cycles,
-           "committed": result.stats.committed,
-           "wall_seconds": wall}
-    if backend == "fast":
-        out["memo_hit_rate"] = machine.memo_stats()["hit_rate"]
-    return out
+    return {"cycles": result.stats.cycles,
+            "committed": result.stats.committed,
+            "wall_seconds": wall}
 
 
 def bench_workloads(workloads: tuple[str, ...], scale: int,
@@ -145,7 +138,6 @@ def bench_workloads(workloads: tuple[str, ...], scale: int,
             fast = _sim_once(name, scale, window, observed=False,
                              backend="fast")
             fast_walls[name].append(fast["wall_seconds"])
-            shape[name]["memo_hit_rate"] = fast["memo_hit_rate"]
             if (fast["cycles"], fast["committed"]) != \
                     (run["cycles"], run["committed"]):
                 # The equivalence matrix is the real gate; this is the
@@ -171,7 +163,6 @@ def bench_workloads(workloads: tuple[str, ...], scale: int,
             "fast_cycles_per_sec": round(cycles / fast_best, 1),
             "fast_insts_per_sec": round(committed / fast_best, 1),
             "fast_speedup": round(best / fast_best, 2),
-            "memo_hit_rate": shape[name]["memo_hit_rate"],
         }
     return out
 
@@ -409,8 +400,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{row['fast_cycles_per_sec']:>12,.0f} cycles/sec "
               f"{row['fast_insts_per_sec']:>12,.0f} insts/sec "
               f"({row['fast_wall_seconds']:.2f}s, "
-              f"{row['fast_speedup']:.1f}x, "
-              f"memo {row['memo_hit_rate']:.1%})")
+              f"{row['fast_speedup']:.1f}x)")
     overhead = doc["obs_overhead"]
     print(f"{'obs overhead':16s} {overhead['overhead']:+12.1%} "
           f"({overhead['workload']}: {overhead['bare_seconds']:.2f}s "

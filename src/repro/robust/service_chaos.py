@@ -78,7 +78,7 @@ def _service_ctx(root: Path) -> RunContext:
     result memo would otherwise serve jobs from memory and bypass the
     very disk/journal tiers the scenarios corrupt."""
     return RunContext(cache_dir=root / "cas", cache_layout="cas",
-                      obs_dir=None, jobs=1, memo=False)
+                      obs_dir=None, jobs=1)
 
 
 def _expected_bytes(workload: str = WORKLOAD) -> bytes:
@@ -86,7 +86,7 @@ def _expected_bytes(workload: str = WORKLOAD) -> bytes:
     truth every scenario's served payload is compared against."""
     job = JobSpec(workload=workload).resolve()
     clear_memo()
-    ctx = RunContext(cache_dir=None, obs_dir=None, jobs=1, memo=False)
+    ctx = RunContext(cache_dir=None, obs_dir=None, jobs=1)
     result = RunEngine(ctx).run_jobs([job])[job.key]
     return canonical_result_bytes(result_to_dict(result))
 

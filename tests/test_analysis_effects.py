@@ -1,5 +1,5 @@
-"""Effects analysis: per-block memory summaries, address intervals,
-and the memo-safety proofs the fast backend's block cache consumes."""
+"""Effects analysis: per-block memory classification and the access
+byte ranges the L007 dead-store rule compares."""
 
 from repro.analysis.effects import (
     LOAD_ONLY,
@@ -8,9 +8,7 @@ from repro.analysis.effects import (
     AccessRange,
     analyze_effects,
 )
-from repro.asm.assembler import Assembler, standard_prologue
-from repro.fastsim.blockcache import MIN_BODY_LEN, build_plan
-from repro.isa.registers import REG_INDEX
+from repro.asm.assembler import Assembler
 from repro.workloads.registry import all_workloads
 
 
@@ -27,10 +25,10 @@ def test_pure_block_classified():
     asm.halt()
     eff = _effects(asm)
     assert eff.effects[0].effect == PURE
-    assert eff.proofs[0].memo_safe
+    assert eff.load_ranges == () and eff.store_ranges == ()
 
 
-def test_store_block_never_memo_safe():
+def test_store_block_classified():
     asm = Assembler("t")
     buf = asm.alloc("buf", 16)
     asm.li("s0", buf)
@@ -39,14 +37,15 @@ def test_store_block_never_memo_safe():
     eff = _effects(asm)
     block = next(b for b in eff.effects.values() if b.stores)
     assert block.effect == STORES
-    proof = eff.proofs[block.leader]
-    assert not proof.memo_safe
-    assert any("stores" in r for r in proof.reasons)
+    (store,) = block.stores
+    assert store.is_store and not store.unbounded
+    assert (store.lo, store.hi) == (buf, buf + 7)
+    assert eff.store_ranges == (store,)
 
 
-def test_load_disjoint_from_stores_is_memo_safe():
+def test_load_range_disjoint_from_stores():
     # Load from one buffer, store to another: the interval domain keeps
-    # the ranges apart, so the loading block stays provably memo-safe.
+    # the ranges apart.
     asm = Assembler("t")
     src = asm.alloc("src", 16)
     dst = asm.alloc("dst", 16)
@@ -65,17 +64,15 @@ def test_load_disjoint_from_stores_is_memo_safe():
     loading = next(b for b in eff.effects.values()
                    if b.loads and not b.stores)
     assert loading.effect == LOAD_ONLY
-    # No store range may overlap the load range, and the proof accepts
-    # the loading block's body.
+    # No store range may overlap the load range.
     load = loading.loads[0]
     assert not load.unbounded
     assert all(not load.overlaps(s) for s in eff.store_ranges)
-    assert eff.proofs[loading.leader].memo_safe
 
 
-def test_load_aliasing_store_blocks_memoization():
-    # Load and store share one buffer: the proof must refuse the
-    # loading block (the loaded bytes are mutable).
+def test_load_range_overlaps_aliasing_store():
+    # Load and store share one buffer: their byte ranges must overlap
+    # (a store the program later loads is never a dead store).
     asm = Assembler("t")
     buf = asm.alloc("buf", 16)
     asm.li("s0", buf)
@@ -87,37 +84,9 @@ def test_load_aliasing_store_blocks_memoization():
     asm.br("bne", "s2", "loop")
     asm.halt()
     eff = _effects(asm)
-    # Every block containing that load is store-tainted here (load and
-    # store share a block), so check the reason machinery on the proof.
-    tainted = next(p for p in eff.proofs.values() if not p.memo_safe
-                   and p.reasons)
-    assert tainted.reasons
-
-
-def test_body_excludes_trailing_branch():
-    asm = Assembler("t")
-    asm.label("loop")
-    asm.op("addq", "t0", "t0", 1)
-    asm.op("addq", "t1", "t1", 2)
-    asm.br("bne", "t0", "loop")
-    asm.halt()
-    eff = _effects(asm)
-    proof = eff.proofs[0]
-    assert proof.body_len == 2          # the bne executes live
-    assert proof.end - proof.start == 3
-
-
-def test_proof_key_and_delta_registers():
-    asm = Assembler("t")
-    asm.op("addq", "t0", "t1", "t2")    # reads t1,t2; writes t0
-    asm.op("addq", "t3", "t0", 1)       # reads t0 (defined); writes t3
-    asm.halt()
-    eff = _effects(asm)
-    proof = eff.proofs[0]
-    assert REG_INDEX["t1"] in proof.ue_regs
-    assert REG_INDEX["t2"] in proof.ue_regs
-    assert REG_INDEX["t0"] not in proof.ue_regs
-    assert {REG_INDEX["t0"], REG_INDEX["t3"]} <= set(proof.defs)
+    (load,) = eff.load_ranges
+    (store,) = eff.store_ranges
+    assert load.overlaps(store) and store.overlaps(load)
 
 
 def test_access_range_overlap_semantics():
@@ -130,31 +99,17 @@ def test_access_range_overlap_semantics():
     assert a.overlaps(top) and top.overlaps(a)
 
 
-# ------------------------------------------------------------- plan
-
-def test_build_plan_filters_short_and_unsafe_bodies():
-    asm = Assembler("t")
-    buf = asm.alloc("buf", 16)
-    asm.li("s0", buf)
-    asm.label("loop")
-    asm.op("addq", "t0", "t0", 1)
-    asm.op("addq", "t1", "t1", 2)
-    asm.op("addq", "t2", "t2", 3)
-    asm.br("bne", "t0", "loop")
-    asm.store("stq", "t0", "s0", 0)     # storing exit block
-    asm.halt()
-    plan = build_plan(asm.assemble())
-    for leader, (body_len, ue, defs, has_loads, trap_free) in plan.items():
-        assert body_len >= MIN_BODY_LEN
-        assert isinstance(ue, tuple) and isinstance(defs, tuple)
-
-
-def test_summary_and_report_cover_workloads():
+def test_effects_cover_workloads():
     for workload in all_workloads():
         eff = analyze_effects(workload.build(1))
-        s = eff.summary()
-        assert s["blocks"] == (s["pure_blocks"] + s["load_only_blocks"]
-                               + s["store_blocks"])
-        assert s["memo_safe_blocks"] <= s["blocks"]
-        report = eff.report()
-        assert len(report.splitlines()) == s["blocks"] + 1
+        assert set(eff.effects) == {b.start for b in
+                                    eff.cfg.reachable_blocks()}
+        for block in eff.effects.values():
+            expected = (STORES if block.stores
+                        else LOAD_ONLY if block.loads else PURE)
+            assert block.effect == expected, (workload.name, block)
+        leaders = sorted(eff.effects)
+        assert eff.load_ranges == tuple(
+            r for lead in leaders for r in eff.effects[lead].loads)
+        assert eff.store_ranges == tuple(
+            r for lead in leaders for r in eff.effects[lead].stores)

@@ -68,12 +68,15 @@ def test_loop_detection():
     asm.op("subq", "s1", "s1", 1)
     asm.br("bne", "s1", "head")
     asm.halt()
-    lv = analyze_liveness(asm.assemble())
-    assert lv.loops, "the back edge must form a natural loop"
-    assert lv.loop_blocks
-    # The loop-carried counter is live around the back edge.
-    head = min(lv.loops)
+    program = asm.assemble()
+    lv = analyze_liveness(program)
+    head = program.instructions[2].target
+    # The loop-carried counter is live around the back edge: into the
+    # loop head, and out of the block whose branch jumps back to it.
     assert REG_INDEX["s1"] in lv.blocks[head].live_in
+    tail = lv.cfg.leader_of[2]
+    assert head in lv.cfg.blocks[tail].succs
+    assert REG_INDEX["s1"] in lv.blocks[tail].live_out
 
 
 # ------------------------------------------------------ random programs

@@ -13,6 +13,10 @@ Three layers, from leaf to whole-machine:
    results as ``reference`` through :class:`RunEngine`, ``both``
    cross-checks and raises :class:`BackendDivergence` on any tampering,
    and an unknown backend is rejected at context construction.
+
+``repro-equivalence`` argument validation rides along: a window or
+scale that would compare nothing is a usage error, never a vacuous
+pass.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.core.machine import Machine
 from repro.exec import Job, RunContext, RunEngine, clear_memo
 from repro.exec.engine import BackendDivergence
 from repro.exec.serialize import dict_divergences, result_to_dict
+from repro.fastsim import cli as equivalence_cli
 from repro.fastsim.machine import FastMachine
 from repro.isa.opcodes import Opcode
 from repro.isa.semantics import (
@@ -123,20 +128,24 @@ def run_pair(workload_name: str, config: MachineConfig,
 
 class TestFastMachineEquivalence:
     @pytest.mark.parametrize("workload", ["go", "compress", "g721-encode",
-                                          "gcc", "xlisp"])
+                                          "gcc", "xlisp", "perl",
+                                          "m88ksim"])
     def test_baseline_config(self, workload):
         assert run_pair(workload, BASELINE) == []
 
-    @pytest.mark.parametrize("config", [
-        BASELINE.with_packing(),
-        BASELINE.with_packing(replay=True),
-        BASELINE.with_packing(max_subwords=2, same_opcode=False),
-        BASELINE.with_gating(GatingPolicy(detect_loads=False)),
-        BASELINE.with_predictor("bimodal"),
+    @pytest.mark.parametrize("workload,config", [
+        ("go", BASELINE.with_packing()),
+        ("go", BASELINE.with_packing(replay=True)),
+        ("go", BASELINE.with_packing(max_subwords=2, same_opcode=False)),
+        ("go", BASELINE.with_gating(GatingPolicy(detect_loads=False))),
+        ("go", BASELINE.with_predictor("bimodal")),
+        ("gcc", BASELINE.with_packing()),
+        ("gcc", BASELINE.with_packing(replay=True)),
     ], ids=["packing", "packing-replay", "packing-loose",
-            "no-detect", "bimodal-predictor"])
-    def test_config_matrix(self, config):
-        assert run_pair("go", config) == []
+            "no-detect", "bimodal-predictor", "packing-gcc",
+            "packing-replay-gcc"])
+    def test_config_matrix(self, workload, config):
+        assert run_pair(workload, config) == []
 
     def test_window_boundaries(self):
         # Equivalence must hold at odd cutoffs, not just round windows:
@@ -208,3 +217,22 @@ class TestEngineBackend:
         (outcome,) = excinfo.value.report.outcomes
         assert BackendDivergence.__name__ in outcome.error
         assert "stats.committed" in outcome.error
+
+
+# ------------------------------------------------------------------- CLI
+
+class TestEquivalenceArgs:
+    @pytest.mark.parametrize("argv,message", [
+        (["--window", "0"], "--window must be >= 1"),
+        (["--window", "-5"], "--window must be >= 1"),
+        (["--scale", "0"], "--scale must be >= 1"),
+    ], ids=["window-0", "window-negative", "scale-0"])
+    def test_empty_comparison_is_a_usage_error(self, argv, message,
+                                               capsys):
+        # A zero or negative window simulates nothing (or silently
+        # means "full window"), so the matrix would "match" without
+        # comparing a single instruction; scale 0 builds no workload.
+        with pytest.raises(SystemExit) as excinfo:
+            equivalence_cli.main(argv + ["--workloads", "go"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err

@@ -1,110 +1,42 @@
-"""Block memoization: bit-exactness (memoized == unmemoized ==
-reference), the RunContext escape hatch, and the adaptive runtime
-plumbing."""
+"""Fast-backend results and the engine's in-process result memo: a
+result served from the memo, a fresh fast simulation and the reference
+machine must agree bit for bit."""
 
 import pytest
 
-from repro.core.config import BASELINE, MachineConfig
-from repro.core.machine import Machine
+from repro.core.config import BASELINE
 from repro.exec.context import RunContext
+from repro.exec.engine import RunEngine, clear_memo
+from repro.exec.jobs import Job
 from repro.exec.serialize import dict_divergences, result_to_dict
-from repro.fastsim.blockcache import BlockMemo, build_plan
-from repro.fastsim.machine import FastMachine
-from repro.workloads.registry import get_workload, resolve_warmup
-
-WINDOW = 2_000
 
 
-def _run(machine_cls, workload_name, config, window=WINDOW, **kwargs):
-    workload = get_workload(workload_name)
-    machine = machine_cls(workload.build(1), config, **kwargs)
-    machine.fast_forward(resolve_warmup(workload, 1))
-    return machine, result_to_dict(machine.run(max_insts=window))
+@pytest.fixture(autouse=True)
+def _fresh_memo():
+    clear_memo()
+    yield
+    clear_memo()
 
-
-# --------------------------------------------------------- bit-exactness
 
 class TestMemoEquivalence:
-    @pytest.mark.parametrize("workload", ["gcc", "g721-encode", "perl",
-                                          "m88ksim", "compress"])
+    @pytest.mark.parametrize("workload", ["gcc", "g721-encode",
+                                          "compress"])
     def test_memo_on_off_and_reference_agree(self, workload):
-        _, memo_on = _run(FastMachine, workload, BASELINE, memo=True)
-        _, memo_off = _run(FastMachine, workload, BASELINE, memo=False)
-        _, reference = _run(Machine, workload, BASELINE)
-        assert dict_divergences(memo_off, memo_on) == []
-        assert dict_divergences(reference, memo_on) == []
+        job = Job(workload, BASELINE, 1)
 
-    @pytest.mark.parametrize("config", [
-        BASELINE.with_packing(),
-        BASELINE.with_packing(replay=True),
-    ], ids=["packing", "packing-replay"])
-    def test_memo_bit_exact_under_packing(self, config):
-        _, memo_on = _run(FastMachine, "gcc", config, memo=True)
-        _, memo_off = _run(FastMachine, "gcc", config, memo=False)
-        assert dict_divergences(memo_off, memo_on) == []
+        memo_engine = RunEngine(RunContext(backend="fast"))
+        fresh = memo_engine.run(job)
+        memo_on = memo_engine.run(job)
+        assert memo_engine.stats.fresh_runs == 1
+        assert memo_engine.stats.memo_hits == 1
 
-    def test_memo_bit_exact_at_odd_windows(self):
-        for window in (1, 17, 501):
-            _, on = _run(FastMachine, "gcc", BASELINE, window=window,
-                         memo=True)
-            _, off = _run(FastMachine, "gcc", BASELINE, window=window,
-                          memo=False)
-            assert dict_divergences(off, on) == []
-
-
-# ------------------------------------------------------------ plumbing
-
-class TestMemoPlumbing:
-    def test_memo_disabled_reports_disabled(self):
-        machine = FastMachine(get_workload("gcc").build(1), BASELINE,
-                              memo=False)
-        stats = machine.memo_stats()
-        assert stats["enabled"] is False
-        assert stats["hits"] == 0
-
-    def test_memo_stats_after_run(self):
-        machine, _ = _run(FastMachine, "gcc", BASELINE, memo=True)
-        stats = machine.memo_stats()
-        assert stats["enabled"] is True
-        assert stats["blocks_planned"] >= stats["blocks_active"]
-        assert 0.0 <= stats["hit_rate"] <= 1.0
-        # gcc's hot loop blocks recur within the first 2k instructions.
-        assert stats["hits"] > 0
-
-    def test_adaptive_give_up_drops_noise_blocks(self):
-        # go's memo keys are pairwise-distinct: recording can never
-        # repay, so the adaptive gate must disable blocks over the run.
-        machine, _ = _run(FastMachine, "go", BASELINE, window=8_000,
-                          memo=True)
-        stats = machine.memo_stats()
-        assert stats["blocks_active"] < stats["blocks_planned"]
-
-    def test_plan_requires_trap_free_under_replay_packing(self):
-        program = get_workload("gcc").build(1)
-        full = build_plan(program)
-        memo = BlockMemo(program, require_trap_free=True)
-        assert set(memo.plan) <= set(full)
-        assert all(full[lead][4] for lead in memo.plan)
-
-    def test_run_context_carries_memo_flag(self):
-        assert RunContext().memo is True
-        assert RunContext(memo=False).memo is False
-
-
-# --------------------------------------------------------------- engine
-
-class TestEngineMemoFlag:
-    def test_no_memo_context_matches_default(self, tmp_path):
-        from repro.exec.engine import RunEngine, clear_memo
-        from repro.exec.jobs import Job
-
-        job = Job("gcc", BASELINE, 1)
-        outs = []
-        for memo in (True, False):
-            clear_memo()
-            ctx = RunContext(cache_dir=tmp_path / f"memo-{memo}",
-                             backend="fast", jobs=1, memo=memo)
-            results = RunEngine(ctx).run_jobs([job])
-            outs.append(result_to_dict(results[job.key]))
         clear_memo()
-        assert dict_divergences(outs[0], outs[1]) == []
+        memo_off = RunEngine(RunContext(backend="fast",
+                                        use_cache=False)).run(job)
+        reference = RunEngine(RunContext(backend="reference",
+                                         use_cache=False)).run(job)
+
+        on = result_to_dict(memo_on)
+        assert dict_divergences(result_to_dict(fresh), on) == []
+        assert dict_divergences(result_to_dict(memo_off), on) == []
+        assert dict_divergences(result_to_dict(reference), on) == []
