@@ -76,7 +76,6 @@ from repro.fastsim.compile import (
 )
 from repro.isa.instruction import Program
 from repro.isa.registers import NUM_INT_REGS
-from repro.isa.semantics import branch_taken, compute, sext
 from repro.memory.backing import MainMemory, SpeculativeMemory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats.counters import CoreStats
@@ -145,7 +144,6 @@ class FastMachine:
         self._seq = 0
         self._spec = False
         self._halted = False
-        self._fast_mode = False
         self._checkpoint = None
 
         # ---- timing state -------------------------------------------
@@ -173,226 +171,139 @@ class FastMachine:
         self._iblk = self._ipage = -1
         self._dblk = self._dpage = -1
 
-    # ---------------------------------------------------------- caches
-
-    def _ifetch(self, pc: int) -> int:
-        """I-side access latency with the same-block shortcut."""
-        blk = pc // self._blk_bytes
-        page = pc // self._page_bytes
-        if blk == self._iblk and page == self._ipage:
-            return self._l1_lat
-        latency = self.hierarchy.fetch_instruction(pc)
-        if latency == self._l1_lat:
-            # L1 hit + TLB hit: both lines now sit at MRU, so an
-            # immediately following same-block access can only repeat
-            # this outcome.
-            self._iblk, self._ipage = blk, page
-        else:
-            self._iblk = -1
-        return latency
-
-    def _daccess(self, addr: int, is_write: bool = False) -> int:
-        """D-side access latency with the same-block shortcut."""
-        blk = addr // self._blk_bytes
-        page = addr // self._page_bytes
-        if blk == self._dblk and page == self._dpage:
-            return self._l1_lat
-        latency = self.hierarchy.access_data(addr, is_write)
-        if latency == self._l1_lat:
-            self._dblk, self._dpage = blk, page
-        else:
-            self._dblk = -1
-        return latency
-
-    # -------------------------------------------------- functional feed
-
-    def _next_inst(self):
-        """Fetch, predict, and functionally execute one instruction —
-        the fast twin of :meth:`repro.core.feed.Feed.next`.  Returns a
-        fresh entry list, or None when the feed cannot supply more.
-
-        Only :meth:`fast_forward` calls this; the cycle loop inlines the
-        same logic (kept in lockstep — any change here must be mirrored
-        in :meth:`_loop`).
-        """
-        if self._halted:
-            return None
-        cp = self.cp
-        raw = self._fetch_index
-        cidx = raw if 0 <= raw < cp.n else cp.n
-        kind = cp.kind[cidx]
-        spec = self._spec
-        if kind == K_HALT and spec:
-            return None   # wrong path fell off the program
-        seq = self._seq
-        self._seq = seq + 1
-        pc = cp.base_pc + raw * 4
-        regs = self._regs
-        tags = self._tags
-        fload = self._from_load
-        a = 0
-        b = 0
-        ta = 2
-        tb = 2
-        fl = False
-        res = None
-        addr = None
-        mis = False
-        nxt = raw + 1
-
-        if kind == K_OPERATE:
-            ra = cp.ra31[cidx]
-            a = regs[ra]
-            ta = tags[ra]
-            fl = ra != 31 and fload[ra]
-            if cp.has_rb[cidx]:
-                rb = cp.rb31[cidx]
-                b = regs[rb]
-                tb = tags[rb]
-                fl = fl or (rb != 31 and fload[rb])
-            else:
-                b = cp.imm_u[cidx]
-                tb = cp.imm_tag[cidx]
-            res = compute(cp.opcode[cidx], a, b, regs[cp.rd31[cidx]])
-            rd = cp.rd_w[cidx]
-            if rd >= 0:
-                regs[rd] = res
-                fload[rd] = False
-                tags[rd] = tag_code_of_value(res)
-        elif kind == K_LOAD:
-            rb = cp.rb31[cidx]
-            a = regs[rb]
-            ta = tags[rb]
-            fl = rb != 31 and fload[rb]
-            b = cp.imm_u[cidx]
-            tb = cp.imm_tag[cidx]
-            addr = (a + b) & _MASK64
-            mem = self._spec_memory if spec else self._memory
-            res = mem.load(addr, cp.mem_size[cidx])
-            if cp.is_ldl[cidx]:
-                res = sext(res, 32)
-            rd = cp.rd_w[cidx]
-            if rd >= 0:
-                regs[rd] = res
-                fload[rd] = True
-                tags[rd] = (tag_code_of_value(res) if self._detect_loads
-                            else 0)   # no zero-detect: tag unknown
-        elif kind == K_STORE:
-            rb = cp.rb31[cidx]
-            a = regs[rb]
-            ta = tags[rb]
-            fl = rb != 31 and fload[rb]
-            b = cp.imm_u[cidx]
-            tb = cp.imm_tag[cidx]
-            addr = (a + b) & _MASK64
-            mem = self._spec_memory if spec else self._memory
-            mem.store(addr, regs[cp.ra31[cidx]], cp.mem_size[cidx])
-        elif kind == K_COND:
-            ra = cp.ra31[cidx]
-            a = regs[ra]
-            ta = tags[ra]
-            fl = ra != 31 and fload[ra]
-            if cp.has_rb[cidx]:
-                rb = cp.rb31[cidx]
-                b = regs[rb]
-                tb = tags[rb]
-                fl = fl or (rb != 31 and fload[rb])
-            else:
-                b = cp.imm_u[cidx]
-                tb = cp.imm_tag[cidx]
-            taken = branch_taken(cp.opcode[cidx], a)
-            actual = cp.target[cidx] if taken else raw + 1
-            if spec:
-                # Wrong-path branch: consult but never train.
-                ptaken = self._predictor.lookup(pc)
-            else:
-                ptaken = self._predictor.predict(pc, taken)
-                self._predictor.update(pc, taken)
-            pred = cp.target[cidx] if ptaken else raw + 1
-            mis, nxt = self._control_tail(actual, pred)
-        elif kind == K_NOP or kind == K_HALT:
-            pass
-        elif kind <= K_BSR:   # K_BR, K_BSR: direct, known at decode
-            actual = cp.target[cidx]
-            if kind == K_BSR:
-                return_pc = cp.base_pc + (raw + 1) * 4
-                res = return_pc
-                rd = cp.rd_w[cidx]
-                if rd >= 0:
-                    regs[rd] = res
-                    fload[rd] = False
-                    tags[rd] = tag_code_of_value(res)
-                if not spec:
-                    self._ras.push(return_pc)
-            mis, nxt = self._control_tail(actual, actual)
-        else:                 # K_JMP, K_JSR, K_RET: indirect
-            rb = cp.rb31[cidx]
-            target_pc = regs[rb]
-            a = target_pc
-            ta = tags[rb]
-            base_pc = cp.base_pc
-            actual = (target_pc - base_pc) // 4
-            return_pc = base_pc + (raw + 1) * 4
-            if kind == K_RET:
-                ppc = self._ras.pop() if not spec else None
-            else:
-                ppc = self._btb.lookup(pc)
-                if kind == K_JSR and not spec:
-                    self._ras.push(return_pc)
-            if not spec:
-                self._btb.update(pc, target_pc)
-            pred = raw + 1 if ppc is None else (ppc - base_pc) // 4
-            if kind == K_JSR:
-                res = return_pc
-                rd = cp.rd_w[cidx]
-                if rd >= 0:
-                    regs[rd] = res
-                    fload[rd] = False
-                    tags[rd] = tag_code_of_value(res)
-            mis, nxt = self._control_tail(actual, pred)
-
-        self._fetch_index = nxt
-        if kind == K_HALT and not spec:
-            self._halted = True
-        return [seq, cidx, raw, pc, nxt, -1, -1, None, False, False, False,
-                False, False, False, -1, False, a, b, ta, tb, fl, res,
-                addr, mis, spec, -1, False, 0]
-
-    def _control_tail(self, actual: int, pred: int):
-        """Shared resolution of a control transfer: (mispredicted,
-        next_index), checkpointing on a first wrong prediction."""
-        if self._perfect:
-            pred = actual
-        if self._fast_mode:
-            # Warmup: train, record the would-be outcome, follow truth.
-            return pred != actual, actual
-        if self._spec:
-            # Deeper mispredictions are irrelevant; follow prediction.
-            return False, pred
-        if pred != actual:
-            self._checkpoint = (list(self._regs), list(self._tags),
-                                list(self._from_load), actual)
-            self._spec = True
-            return True, pred
-        return False, actual
-
     # --------------------------------------------------------------- run
 
     def fast_forward(self, instructions: int) -> int:
-        """Warm caches and predictors functionally (Section 3.2)."""
-        self._fast_mode = True
+        """Warm caches and predictors functionally (Section 3.2); returns
+        the instructions actually executed.
+
+        Control transfers train the predictor, BTB and RAS, then follow
+        the correct path.  Entered mid-speculation (``run(max_insts)``
+        and ``step()`` can stop there), it keeps the wrong-path rules
+        (overlay memory, no training) and stops at a HALT, as the
+        reference feed does.  State lives in locals, as in :meth:`_loop`.
+        """
+        cp = self.cp
+        cp_n = cp.n
+        cp_base = cp.base_pc
+        cp_kind = cp.kind
+        cp_frow = cp.frow
+        regs = self._regs
+        tags = self._tags
+        fload = self._from_load
+        detect_loads = self._detect_loads
+        spec = self._spec
+        mem = self._spec_memory if spec else self._memory
+        mem_load = mem.load
+        mem_store = mem.store
+        p_predict = self._predictor.predict
+        p_update = self._predictor.update
+        ras = self._ras
+        btb = self._btb
+        i_walk = self.hierarchy.fetch_instruction
+        d_walk = self.hierarchy.access_data
+        l1_lat = self._l1_lat
+        blk_b = self._blk_bytes
+        page_b = self._page_bytes
+        iblk = self._iblk
+        ipage = self._ipage
+        dblk = self._dblk
+        dpage = self._dpage
+        fetch_index = self._fetch_index
+        halted = self._halted
         executed = 0
-        cp_is_store = self.cp.is_store
-        while executed < instructions:
-            e = self._next_inst()
-            if e is None:
-                break
-            self._ifetch(e[E_PC])
-            addr = e[E_ADDR]
-            if addr is not None:
-                self._daccess(addr, is_write=cp_is_store[e[E_CIDX]])
+        while executed < instructions and not halted:
+            raw = fetch_index
+            cidx = raw if 0 <= raw < cp_n else cp_n
+            kind = cp_kind[cidx]
+            pc = cp_base + raw * 4
+            fetch_index = raw + 1
+            addr = -1
+            if kind == K_OPERATE:
+                ra, has_rb, rb, imm_u, _, fn, rd31, rd = cp_frow[cidx]
+                res = fn(regs[ra], regs[rb] if has_rb else imm_u,
+                         regs[rd31])
+                if rd >= 0:
+                    regs[rd] = res
+                    fload[rd] = False
+                    tags[rd] = tag_code_of_value(res)
+            elif kind == K_LOAD:
+                rb, imm_u, _, size, is_ldl, rd = cp_frow[cidx]
+                addr = (regs[rb] + imm_u) & _MASK64
+                res = mem_load(addr, size)
+                if is_ldl and res & 0x80000000:
+                    res += 0xFFFFFFFF00000000
+                if rd >= 0:
+                    regs[rd] = res
+                    fload[rd] = True
+                    # without zero-detect the loaded width is unknown
+                    tags[rd] = tag_code_of_value(res) if detect_loads else 0
+            elif kind == K_COND:
+                ra, _, _, _, _, bfn, target = cp_frow[cidx]
+                taken = bfn(regs[ra])
+                if taken:
+                    fetch_index = target
+                if not spec:   # a wrong-path branch never trains
+                    p_predict(pc, taken)
+                    p_update(pc, taken)
+            elif kind == K_STORE:
+                rb, imm_u, _, ra, size = cp_frow[cidx]
+                addr = (regs[rb] + imm_u) & _MASK64
+                mem_store(addr, regs[ra], size)
+            elif kind == K_HALT:
+                if spec:
+                    fetch_index = raw
+                    break   # the wrong path fell off the program
+                halted = True
+            elif kind != K_NOP:   # BR, BSR direct; JMP, JSR, RET indirect
+                if kind <= K_BSR:
+                    fetch_index = cp.target[cidx]
+                else:
+                    target_pc = regs[cp.rb31[cidx]]
+                    fetch_index = (target_pc - cp_base) // 4
+                    if kind != K_RET:
+                        btb.lookup(pc)
+                    elif not spec:
+                        ras.pop()
+                    if not spec:
+                        btb.update(pc, target_pc)
+                if kind == K_BSR or kind == K_JSR:
+                    if not spec:
+                        ras.push(pc + 4)
+                    rd = cp.rd_w[cidx]
+                    if rd >= 0:
+                        regs[rd] = pc + 4
+                        fload[rd] = False
+                        tags[rd] = tag_code_of_value(pc + 4)
             executed += 1
-        self._fast_mode = False
+
+            # Same-block/page shortcut: an L1 + TLB hit leaves both
+            # lines at MRU, so the next access there repeats it.
+            blk = pc // blk_b
+            page = pc // page_b
+            if blk != iblk or page != ipage:
+                if i_walk(pc) == l1_lat:
+                    iblk = blk
+                    ipage = page
+                else:
+                    iblk = -1
+            if addr >= 0:
+                blk = addr // blk_b
+                page = addr // page_b
+                if blk != dblk or page != dpage:
+                    if d_walk(addr, kind == K_STORE) == l1_lat:
+                        dblk = blk
+                        dpage = page
+                    else:
+                        dblk = -1
+
+        self._fetch_index = fetch_index
+        self._seq += executed
+        self._halted = halted
+        self._iblk = iblk
+        self._ipage = ipage
+        self._dblk = dblk
+        self._dpage = dpage
         return executed
 
     def run(self, max_insts: int | None = None) -> RunResult:
@@ -1069,7 +980,7 @@ class FastMachine:
             if cycle >= resume and cycle >= stall and not halted:
                 nfetched = 0
                 while nfetched < fetch_width and nfq < queue_size:
-                    # ---- functional feed, inlined (twin of _next_inst)
+                    # ---- functional feed, inlined
                     raw = fetch_index
                     cidx = raw if 0 <= raw < cp_n else cp_n
                     kind = cp_kind[cidx]
@@ -1380,3 +1291,61 @@ class FastMachine:
     def reg(self, index: int) -> int:
         """Architected value of register ``index`` (test helper)."""
         return 0 if index == 31 else self._regs[index]
+
+
+def count_to_halt(program: Program) -> int:
+    """Dynamic length of ``program``: the instructions a fast-mode
+    :class:`~repro.core.feed.Feed` supplies, closing HALT included (the
+    synthetic HALT row when control leaves the program).
+
+    An architectural interpreter over the decode rows: registers and
+    main memory only, on the correct path, with no width tags,
+    predictors, caches or per-instruction objects.  Like the feed, it
+    runs forever on a program that never halts.
+    """
+    cp = compile_program(program)
+    cp_n = cp.n
+    cp_base = cp.base_pc
+    cp_kind = cp.kind
+    cp_frow = cp.frow
+    memory = MainMemory(program.image)
+    mem_load = memory.load
+    mem_store = memory.store
+    regs = [0] * NUM_INT_REGS
+    index = cp.entry
+    count = 0
+    while True:
+        cidx = index if 0 <= index < cp_n else cp_n
+        kind = cp_kind[cidx]
+        count += 1
+        nxt = index + 1
+        if kind == K_OPERATE:
+            ra, has_rb, rb, imm_u, _, fn, rd31, rd = cp_frow[cidx]
+            res = fn(regs[ra], regs[rb] if has_rb else imm_u, regs[rd31])
+            if rd >= 0:
+                regs[rd] = res
+        elif kind == K_LOAD:
+            rb, imm_u, _, size, is_ldl, rd = cp_frow[cidx]
+            res = mem_load((regs[rb] + imm_u) & _MASK64, size)
+            if is_ldl and res & 0x80000000:
+                res += 0xFFFFFFFF00000000
+            if rd >= 0:
+                regs[rd] = res
+        elif kind == K_COND:
+            ra, _, _, _, _, bfn, target = cp_frow[cidx]
+            if bfn(regs[ra]):
+                nxt = target
+        elif kind == K_STORE:
+            rb, imm_u, _, ra, size = cp_frow[cidx]
+            mem_store((regs[rb] + imm_u) & _MASK64, regs[ra], size)
+        elif kind == K_HALT:
+            return count
+        elif kind != K_NOP:   # BR, BSR direct; JMP, JSR, RET indirect
+            if kind <= K_BSR:
+                nxt = cp.target[cidx]
+            else:
+                nxt = (regs[cp.rb31[cidx]] - cp_base) // 4
+            rd = cp.rd_w[cidx]
+            if (kind == K_BSR or kind == K_JSR) and rd >= 0:
+                regs[rd] = cp_base + (index + 1) * 4
+        index = nxt

@@ -114,7 +114,8 @@ def _sim_once(workload_name: str, scale: int, window: int | None,
         machine.enable_stall_attribution()
     machine.fast_forward(resolve_warmup(workload, scale))
     t0 = perf_now()
-    result = machine.run(max_insts=window or workload.window)
+    result = machine.run(
+        max_insts=workload.window if window is None else window)
     wall = perf_now() - t0
     return {"cycles": result.stats.cycles,
             "committed": result.stats.committed,
@@ -375,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
+    if args.window is not None and args.window < 1:
+        parser.error("--window must be >= 1")
     if not 0 < args.threshold < 1:
         parser.error("--threshold must be in (0, 1)")
     repeats = 2 if args.quick else args.repeats

@@ -79,19 +79,16 @@ _LENGTH_CACHE: dict[tuple[str, int], int] = {}
 
 
 def dynamic_length(workload: Workload, scale: int = 1) -> int:
-    """Total dynamic instruction count of a workload (functional run,
-    cached per scale)."""
+    """Total dynamic instruction count of a workload, closing HALT
+    included: an architectural run to completion
+    (:func:`repro.fastsim.machine.count_to_halt`), cached per scale for
+    the life of the process."""
     key = (workload.name, scale)
     if key not in _LENGTH_CACHE:
-        from repro.core.config import BASELINE
-        from repro.core.feed import Feed
+        # Imported lazily so `import repro.workloads` stays cheap.
+        from repro.fastsim.machine import count_to_halt
 
-        feed = Feed(workload.build(scale), BASELINE)
-        feed.fast_mode = True
-        count = 0
-        while feed.next() is not None:
-            count += 1
-        _LENGTH_CACHE[key] = count
+        _LENGTH_CACHE[key] = count_to_halt(workload.build(scale))
     return _LENGTH_CACHE[key]
 
 

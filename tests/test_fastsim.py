@@ -8,7 +8,9 @@ Three layers, from leaf to whole-machine:
 2. the :class:`~repro.fastsim.machine.FastMachine` against the
    reference :class:`~repro.core.machine.Machine`: serialized results
    (every counter, the width histogram, fluctuation, power) must be
-   identical over a matrix of workloads and configurations;
+   identical over a matrix of workloads and configurations, and the
+   fast-forward warmup must leave the same state as the reference's
+   from any entry point, including mid-speculation and split calls;
 3. the run engine's ``backend`` plumbing: ``fast`` yields the same
    results as ``reference`` through :class:`RunEngine`, ``both``
    cross-checks and raises :class:`BackendDivergence` on any tampering,
@@ -21,12 +23,14 @@ pass.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bitwidth.tags import tag_code
 from repro.core.config import BASELINE, MachineConfig
 from repro.core.machine import Machine
 from repro.exec import Job, RunContext, RunEngine, clear_memo
@@ -44,7 +48,11 @@ from repro.isa.semantics import (
 )
 from repro.power.gating import GatingPolicy
 from repro.robust.report import SuiteFailure
-from repro.workloads.registry import get_workload, resolve_warmup
+from repro.workloads.registry import (
+    dynamic_length,
+    get_workload,
+    resolve_warmup,
+)
 
 u64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -153,6 +161,114 @@ class TestFastMachineEquivalence:
         # in-flight packing state.
         for window in (1, 17, 501):
             assert run_pair("compress", BASELINE, window=window) == []
+
+
+# ---------------------------------------------------------------- warmup
+
+def _fields(obj):
+    """Plain-data view of a predictor, BTB or RAS: its tables,
+    histories and pointers.  Left out are the stats counters, which the
+    fast cycle loop skips for the component predictors by design, and
+    the combining predictor's ``_last``, a scratch value passed from
+    predict() to update()."""
+    if isinstance(obj, (list, tuple)):
+        return [_fields(item) for item in obj]
+    if not hasattr(obj, "__dict__") and not hasattr(obj, "__slots__"):
+        return obj
+    names = (vars(obj) if hasattr(obj, "__dict__")
+             else {name: getattr(obj, name) for name in obj.__slots__})
+    return {name: _fields(value) for name, value in names.items()
+            if name not in ("stats", "_last")}
+
+
+def warm_state(machine) -> dict:
+    """Everything fast mode changes, read off either backend.
+
+    Caches contribute their tag arrays, not their ``CacheStats`` or
+    dirty bits: the fast backend's same-block shortcut skips those
+    counters by design.
+    """
+    if isinstance(machine, FastMachine):
+        regs, tags, fload = machine._regs, machine._tags, machine._from_load
+        front = (machine._fetch_index, machine._seq, machine._halted,
+                 machine._spec)
+        predictor, btb, ras = machine._predictor, machine._btb, machine._ras
+    else:
+        feed = machine.feed
+        regs, fload = feed._regs, feed._from_load
+        tags = [tag_code(tag) for tag in feed._tags]
+        front = (feed.fetch_index, feed.seq, feed.halted, feed.spec_mode)
+        predictor, btb, ras = feed.predictor, feed.btb, feed.ras
+    hier = machine.hierarchy
+    return copy.deepcopy({
+        "regs": regs, "tags": tags, "from_load": fload, "front": front,
+        "predictor": _fields(predictor), "btb": _fields(btb),
+        "ras": _fields(ras),
+        "caches": [hier.l1i._tags, hier.l1d._tags, hier.l2._tags],
+        "tlbs": [hier.itlb._pages, hier.dtlb._pages],
+    })
+
+
+NO_DETECT = BASELINE.with_gating(GatingPolicy(detect_loads=False))
+
+
+class TestFastForward:
+    """``FastMachine.fast_forward`` against ``Machine.fast_forward``:
+    same count returned, same warmed state, from any entry point."""
+
+    @pytest.mark.parametrize("workload,config", [
+        ("go", BASELINE),
+        ("gcc", BASELINE),
+        ("xlisp", BASELINE),
+        ("mpeg2-encode", BASELINE),
+        ("perl", NO_DETECT),
+        ("gcc", BASELINE.with_predictor("bimodal")),
+        ("go", BASELINE.with_predictor("perfect")),
+    ], ids=["go", "gcc", "xlisp", "mpeg2-encode", "no-detect-perl",
+            "bimodal-gcc", "perfect-go"])
+    def test_state_matches_reference(self, workload, config):
+        w = get_workload(workload)
+        length = dynamic_length(w, 1)
+        for n in (0, 1, 17, resolve_warmup(w, 1), length + 3):
+            reference = Machine(w.build(1), config)
+            fast = FastMachine(w.build(1), config)
+            executed = fast.fast_forward(n)
+            assert executed == reference.fast_forward(n)
+            assert executed == min(n, length)     # stops after HALT
+            assert warm_state(fast) == warm_state(reference), n
+
+    def test_entered_mid_speculation(self):
+        # run(max_insts) and step() can stop while the feed is on a
+        # wrong path; fast mode then follows the true path through the
+        # speculative overlay without training, and stops at a HALT.
+        w = get_workload("go")
+        reference = Machine(w.build(1), BASELINE)
+        fast = FastMachine(w.build(1), BASELINE)
+        while not reference.feed.spec_mode:
+            reference.step()
+            fast.step()
+        assert fast._spec
+        for n in (1, 40, 10**6):
+            assert fast.fast_forward(n) == reference.fast_forward(n)
+            assert warm_state(fast) == warm_state(reference), n
+
+    def test_split_warmup_resumes_exactly(self):
+        # Every loop local must be written back on exit: two calls that
+        # cover the warmup between them leave the machine exactly where
+        # one call does, through the detailed run that follows.
+        w = get_workload("compress")
+        warmup = resolve_warmup(w, 1)
+        whole = FastMachine(w.build(1), BASELINE)
+        whole.fast_forward(warmup)
+        state = warm_state(whole)
+        expected = result_to_dict(whole.run(max_insts=WINDOW))
+        for first in (1, 17, warmup // 3):
+            split = FastMachine(w.build(1), BASELINE)
+            assert split.fast_forward(first) == first
+            assert split.fast_forward(warmup - first) == warmup - first
+            assert warm_state(split) == state
+            out = result_to_dict(split.run(max_insts=WINDOW))
+            assert dict_divergences(expected, out) == []
 
 
 # ----------------------------------------------------------------- engine

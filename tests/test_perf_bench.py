@@ -213,6 +213,23 @@ class TestMatrix:
         assert "host fingerprint" in captured.err
         assert "host fingerprint" not in captured.out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--window", "0"], "--window must be >= 1"),
+        (["--window", "-5"], "--window must be >= 1"),
+        (["--scale", "0"], "--scale must be >= 1"),
+    ], ids=["window-0", "window-negative", "scale-0"])
+    def test_empty_measurement_is_a_usage_error(self, argv, message,
+                                                tmp_path, capsys):
+        # A window below 1 measures nothing (0 silently meant the full
+        # window) and scale 0 builds no workload: refuse before running
+        # or writing a BENCH document.
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(argv + ["--workloads", "go", "--quick",
+                               "--out-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
     def test_fast_floor_gate_fails_the_run(self, tmp_path, capsys):
         code = bench_main(["--workloads", "g721-encode", "--repeats",
                            "1", "--window", "2000", "--quick",

@@ -1,14 +1,19 @@
 """Integration tests for the benchmark stand-ins (Tables 2-3).
 
 Each workload must (a) assemble, (b) run to completion functionally,
-(c) compute a verifiable result where a Python model exists, and
-(d) exhibit the qualitative profile the paper reports for its namesake.
+with the architectural length count behind its warmup agreeing with
+the reference feed, (c) compute a verifiable result where a Python
+model exists, and (d) exhibit the qualitative profile the paper reports
+for its namesake.
 """
 
 import pytest
 
+from repro.asm.assembler import Assembler
 from repro.core.config import BASELINE
 from repro.core.feed import Feed
+from repro.fastsim.machine import count_to_halt
+from repro.isa.opcodes import Opcode
 from repro.workloads.data import Xorshift64, audio_samples, image_block, text_bytes
 from repro.workloads.registry import (
     MEDIABENCH,
@@ -26,8 +31,9 @@ MEDIA_NAMES = {"gsm-encode", "gsm-decode", "g721-encode", "g721-decode",
                "mpeg2-encode", "mpeg2-decode"}
 
 
-def run_functional(name: str, limit: int = 2_000_000) -> Feed:
-    feed = Feed(get_workload(name).build(), BASELINE)
+def run_functional(name: str, limit: int = 2_000_000,
+                   scale: int = 1) -> Feed:
+    feed = Feed(get_workload(name).build(scale), BASELINE)
     feed.fast_mode = True
     for _ in range(limit):
         if feed.next() is None:
@@ -78,7 +84,102 @@ class TestAllWorkloads:
         assert p1.image == p2.image
 
     def test_runs_to_halt(self, name):
-        run_functional(name)
+        feed = run_functional(name)
+        # The architectural count behind dynamic_length supplies exactly
+        # the reference feed's instructions, closing HALT included.
+        assert count_to_halt(get_workload(name).build()) == feed.seq
+
+    def test_length_count_at_scale_2(self, name):
+        feed = run_functional(name, scale=2)
+        assert count_to_halt(get_workload(name).build(2)) == feed.seq
+
+
+def _calls() -> Assembler:
+    # BSR and JSR link the return address; RET returns through it.
+    asm = Assembler()
+    asm.br("br", "main")
+    asm.label("bump")                  # index 1
+    asm.op("addq", "t0", "t0", 1)
+    asm.ret()
+    asm.label("main")
+    asm.bsr("bump")
+    asm.li("t12", asm.base_pc + 4)     # address of "bump"
+    asm.jsr("t12")
+    asm.op("subq", "t1", "t0", 2)
+    asm.br("bne", "t1", "skip")        # taken only if a call was lost
+    asm.nop()
+    asm.label("skip")
+    return asm
+
+
+def _ldl_sign_extension() -> Assembler:
+    # LDL sign-extends bit 31; the branch sees a negative value.
+    asm = Assembler()
+    buf = asm.alloc("buf", 8)
+    asm.data_words(buf, [0x8000_0000], size=4)
+    asm.li("s0", buf)
+    asm.load("ldl", "t0", "s0", 0)
+    asm.br("bge", "t0", "positive")
+    asm.nop()
+    asm.nop()
+    asm.label("positive")
+    asm.nop()
+    return asm
+
+
+def _cmov_keeps_old_destination() -> Assembler:
+    # A CMOV whose condition fails leaves its destination's old value.
+    asm = Assembler()
+    asm.li("t0", 3)
+    asm.li("t1", 1)
+    asm.op("cmoveq", "t0", "t1", 0)    # t1 != 0: t0 stays 3
+    asm.op("cmovne", "t2", "t1", 5)    # t1 != 0: t2 becomes 5
+    asm.br("beq", "t0", "end")
+    asm.op("subq", "t2", "t2", 5)
+    asm.br("bne", "t2", "end")
+    asm.nop()
+    asm.label("end")
+    asm.nop()
+    return asm
+
+
+def _indirect_jump_out() -> Assembler:
+    # JMP to an address past the program: the next row is the
+    # synthetic HALT.
+    asm = Assembler()
+    asm.li("t0", asm.base_pc + 4 * 1000)
+    asm.jmp("t0")
+    asm.nop()
+    return asm
+
+
+def _runs_off_the_end() -> Assembler:
+    asm = Assembler()
+    asm.li("t0", 2)
+    asm.label("loop")
+    asm.op("subq", "t0", "t0", 1)
+    asm.br("bne", "t0", "loop")
+    return asm
+
+
+@pytest.mark.parametrize("build", [
+    _calls, _ldl_sign_extension, _cmov_keeps_old_destination,
+    _indirect_jump_out, _runs_off_the_end,
+], ids=["calls", "ldl-sign-extension", "cmov-old-destination",
+        "indirect-jump-out", "runs-off-the-end"])
+def test_length_count_edge_programs(build):
+    # None of these programs has a HALT: each ends on the synthetic
+    # HALT row past the program, which the feed supplies and counts.
+    program = build().assemble()
+    feed = Feed(program, BASELINE)
+    feed.fast_mode = True
+    supplied = []
+    while (dyn := feed.next()) is not None:
+        supplied.append(dyn)
+    last = supplied[-1]
+    assert last.inst.opcode is Opcode.HALT
+    assert not 0 <= last.index < len(program)
+    assert count_to_halt(program) == len(supplied)
 
 
 class TestComputedResults:
