@@ -128,6 +128,10 @@ def _packing_report(names: list[str], scale: int, max_insts: int) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
+    if args.max_insts < 1:
+        parser.error("--max-insts must be >= 1")
 
     if args.list_workloads:
         for workload in all_workloads():

@@ -123,6 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     validate_engine_args(parser, args)
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
 
     valid = experiment_names()
     names = list(args.experiments)

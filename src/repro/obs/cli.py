@@ -185,8 +185,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workload is None:
         parser.error("workload is required (use --list to enumerate)")
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
     if args.window is not None and args.window < 1:
         parser.error("--window must be >= 1 cycle")
+    if args.max_events is not None and args.max_events < 1:
+        parser.error("--max-events must be >= 1")
+    if args.max_insts is not None and args.max_insts < 1:
+        parser.error("--max-insts must be >= 1")
 
     try:
         workload = get_workload(args.workload)
@@ -199,8 +205,12 @@ def main(argv: list[str] | None = None) -> int:
         config = config.with_packing(replay=args.replay)
     if args.predictor:
         config = config.with_predictor(args.predictor)
-    window = args.window or config.obs.sampler_window
-    max_events = args.max_events or config.obs.max_events
+    window = (config.obs.sampler_window if args.window is None
+              else args.window)
+    max_events = (config.obs.max_events if args.max_events is None
+                  else args.max_events)
+    max_insts = (workload.window if args.max_insts is None
+                 else args.max_insts)
     out_dir = args.out or f"obs-out/{workload.name}"
 
     if _engine_eligible(args):
@@ -222,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.time()
     machine.fast_forward(resolve_warmup(workload, args.scale))
-    result = machine.run(max_insts=args.max_insts or workload.window)
+    result = machine.run(max_insts=max_insts)
     elapsed = time.time() - start
     if profiler is not None:
         profiler.detach()

@@ -1,4 +1,4 @@
-"""Performance observability: tracing, metrics, profiling, benchmarks.
+"""Performance observability: tracing, metrics, profiling.
 
 This package is the *measurement substrate* of the host-side execution
 stack (the simulated machine's own instruments live in
@@ -23,14 +23,8 @@ stack (the simulated machine's own instruments live in
   target list for the fast-backend work.  Detached machines run the
   exact pre-profiler code path.
 
-``repro-bench`` (:mod:`repro.perf.bench`) pins all of it to recorded
-baselines: a benchmark matrix written as schema-versioned
-``BENCH_<timestamp>.json`` files and diffed against a committed
-baseline with a configurable regression threshold.
-
 Dependency rule: :mod:`repro.perf` imports nothing from
-:mod:`repro.exec` or :mod:`repro.robust` (both import *us*); only
-:mod:`repro.perf.bench` — a leaf CLI — may import the wider repo.
+:mod:`repro.exec` or :mod:`repro.robust` (both import *us*).
 """
 
 from repro.perf.clock import epoch_now, perf_now

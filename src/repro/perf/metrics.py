@@ -6,8 +6,7 @@ timeouts (:class:`~repro.exec.engine.EngineStats` keeps its public
 shape and now mirrors into ``engine.*`` counters), cache hits / misses
 / quarantines, guard violations (``guards.*``), and chaos verdict
 classifications (``chaos.*``) — and exports them as **one snapshot per
-run** (``--metrics-out``; ``repro-bench`` embeds the snapshot in its
-baseline documents).
+run** (``--metrics-out``).
 
 Process safety is by *snapshot merge*, not shared memory: a pool
 worker records into its own process-local registry during one job and

@@ -122,6 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     validate_engine_args(parser, args)
+    if args.scale < 1:
+        parser.error("--scale must be >= 1")
+    if args.window is not None and args.window < 1:
+        parser.error("--window must be >= 1")
     if args.list:
         _print_catalog()
         return 0

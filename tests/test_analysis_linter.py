@@ -1,7 +1,10 @@
 """Program linter: each rule fires on a crafted bad program and stays
 quiet on the registered workloads (which must be lint-clean)."""
 
+import pytest
+
 from repro.analysis import lint_program
+from repro.analysis.cli import main as lint_main
 from repro.analysis.linter import max_severity
 from repro.asm.assembler import Assembler
 from repro.isa.instruction import Instruction, Program
@@ -149,3 +152,19 @@ def test_exit_block_result_store_exempt_from_dead_store():
     asm.halt()
     diags = lint_program(asm.assemble())
     assert not [d for d in diags if d.code == "L007"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--packing-report", "--max-insts", "0"], "--max-insts must be >= 1"),
+    (["--packing-report", "--max-insts", "-3"], "--max-insts must be >= 1"),
+    (["--scale", "0"], "--scale must be >= 1"),
+], ids=["max-insts-0", "max-insts-negative", "scale-0"])
+def test_empty_check_is_a_usage_error(argv, message, capsys):
+    # A negative cap checks a few hundred instances yet prints the
+    # "sound" verdict; a zero cap runs to HALT; scale 0 builds nothing.
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main(["go"] + argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "sound" not in captured.out

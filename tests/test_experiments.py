@@ -180,3 +180,12 @@ class TestRunnerCLI:
         from repro.experiments.runner import main
         with _pytest.raises(SystemExit):
             main(["fig99"])
+
+    def test_rejects_scale_below_one(self, capsys):
+        # Scale 0 builds no workload: a usage error, not a suite of
+        # jobs that each fail after their retries.
+        from repro.experiments.runner import main
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig2", "--scale", "0"])
+        assert excinfo.value.code == 2
+        assert "--scale must be >= 1" in capsys.readouterr().err

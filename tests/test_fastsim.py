@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -352,3 +353,24 @@ class TestEquivalenceArgs:
             equivalence_cli.main(argv + ["--workloads", "go"])
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class TestEquivalenceReport:
+    def test_report_carries_the_speed_ratio(self, tmp_path, capsys):
+        # The document CI uploads is the per-workload record of
+        # reference versus fast wall time over the same region.
+        out = tmp_path / "eq.json"
+        code = equivalence_cli.main(["--workloads", "go", "--window",
+                                     "2000", "--out", str(out)])
+        assert code == 0
+        lines = capsys.readouterr().out.rstrip().splitlines()
+        assert lines[-2].endswith("1/1 matched, 0 divergent")
+        assert lines[-1] == f"wrote {out}"
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "repro-equivalence/2"
+        assert doc["total"] == 1
+        (row,) = doc["configs"]["baseline"]["workloads"]
+        assert row["ref_wall_seconds"] > 0
+        assert row["fast_wall_seconds"] > 0
+        assert row["speedup"] == pytest.approx(
+            row["ref_wall_seconds"] / row["fast_wall_seconds"], rel=0.01)

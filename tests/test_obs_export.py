@@ -153,6 +153,25 @@ class TestCli:
         out = capsys.readouterr().out
         assert "go" in out and "gsm-encode" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-insts", "0"], "--max-insts must be >= 1"),
+        (["--max-insts", "-5"], "--max-insts must be >= 1"),
+        (["--scale", "0"], "--scale must be >= 1"),
+        (["--max-events", "0"], "--max-events must be >= 1"),
+    ], ids=["max-insts-0", "max-insts-negative", "scale-0",
+            "max-events-0"])
+    def test_empty_measurement_is_a_usage_error(self, argv, message,
+                                                tmp_path, capsys):
+        # A zero cap would silently mean "the whole window" (or the
+        # config's event cap), a negative one measures nothing, and
+        # scale 0 builds no workload: refuse before simulating.
+        out = tmp_path / "go"
+        with pytest.raises(SystemExit) as excinfo:
+            obs_main(["go", "--out", str(out)] + argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunnerObsDir:
     def test_run_workload_leaves_manifest(self, tmp_path):

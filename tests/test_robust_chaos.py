@@ -89,6 +89,21 @@ class TestChaosCLI:
         assert "0 silent corruptions" in out
         assert "detected" in out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--window", "0"], "--window must be >= 1"),
+        (["--window", "-5"], "--window must be >= 1"),
+        (["--scale", "0"], "--scale must be >= 1"),
+    ], ids=["window-0", "window-negative", "scale-0"])
+    def test_empty_trial_is_a_usage_error(self, argv, message, capsys):
+        # A negative window arms nothing yet would print the clean
+        # verdict line; window 0 runs to HALT; scale 0 builds nothing.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["-w", "go", "-i", "tag-flip"] + argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "chaos:" not in captured.out
+
     def test_list_prints_catalog(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
