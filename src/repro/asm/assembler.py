@@ -93,7 +93,7 @@ class Assembler:
         self._sources: list[tuple[str, int] | None] = []
         self._labels: dict[str, int] = {}
         self._fixups: list[_Fixup] = []
-        self._image: dict[int, int] = {}
+        self._image: list[tuple[int, bytes]] = []
         self._data_cursor = DATA_BASE
         self._symbols: dict[str, int] = {}
 
@@ -123,15 +123,16 @@ class Assembler:
         return self._symbols[name]
 
     def data_bytes(self, addr: int, data: bytes) -> None:
-        """Place raw bytes into the initial memory image."""
-        for offset, byte in enumerate(data):
-            self._image[addr + offset] = byte
+        """Place raw bytes into the initial memory image, as one segment
+        that overwrites whatever earlier segments put at those bytes."""
+        self._image.append((addr, bytes(data)))
 
     def data_words(self, addr: int, values: list[int], size: int = 8) -> None:
         """Place little-endian integers of ``size`` bytes into the image."""
-        for i, value in enumerate(values):
-            raw = to_unsigned(value) & ((1 << (8 * size)) - 1)
-            self.data_bytes(addr + i * size, raw.to_bytes(size, "little"))
+        mask = (1 << (8 * size)) - 1
+        self.data_bytes(addr, b"".join(
+            (to_unsigned(value) & mask).to_bytes(size, "little")
+            for value in values))
 
     # -- low-level emit -------------------------------------------------------
 
@@ -334,7 +335,7 @@ class Assembler:
                 old.opcode, ra=old.ra, rb=old.rb, rd=old.rd, imm=old.imm,
                 target=self._labels[fixup.label])
         return Program(instructions=instructions, base_pc=self.base_pc,
-                       image=dict(self._image), name=self.name,
+                       image=tuple(self._image), name=self.name,
                        srcmap=list(self._sources))
 
 

@@ -8,7 +8,7 @@ and the I-cache behave realistically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.isa.opcodes import (
     CONDITIONAL_BRANCHES,
@@ -121,7 +121,8 @@ class Program:
     """A fully assembled program: instructions plus an initial memory image.
 
     ``base_pc`` is the simulated address of instruction 0.  ``image``
-    maps byte addresses to initial data bytes (the ``.data`` section).
+    is the initial data (the ``.data`` section) as ordered ``(addr,
+    bytes)`` segments; where two overlap, the later one wins.
     ``entry`` is the starting instruction index.  ``srcmap``, when the
     assembler provides it, maps each instruction index to the
     ``(file, line)`` of the emitting call site, so diagnostics can
@@ -130,7 +131,7 @@ class Program:
 
     instructions: list[Instruction]
     base_pc: int = 0x0001_0000
-    image: dict[int, int] = field(default_factory=dict)
+    image: tuple[tuple[int, bytes], ...] = ()
     entry: int = 0
     name: str = "program"
     srcmap: list[tuple[str, int] | None] | None = None

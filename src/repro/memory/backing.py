@@ -12,6 +12,8 @@ committed)") sees its own stores without corrupting architected memory.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.asm.layout import PAGE_BYTES
 
 _PAGE_MASK = PAGE_BYTES - 1
@@ -26,11 +28,19 @@ class MainMemory:
 
     __slots__ = ("_pages",)
 
-    def __init__(self, image: dict[int, int] | None = None) -> None:
+    def __init__(self, image: Iterable[tuple[int, bytes]] = ()) -> None:
+        """``image`` is a program's ``(addr, bytes)`` segments, copied in
+        order page by page, so a later segment overwrites any bytes it
+        shares with an earlier one."""
         self._pages: dict[int, bytearray] = {}
-        if image:
-            for addr, byte in image.items():
-                self.store_byte(addr, byte)
+        for addr, data in image:
+            pos = 0
+            while pos < len(data):
+                page = self._page(addr + pos)
+                offset = (addr + pos) & _PAGE_MASK
+                take = min(PAGE_BYTES - offset, len(data) - pos)
+                page[offset:offset + take] = data[pos:pos + take]
+                pos += take
 
     def _page(self, addr: int) -> bytearray:
         page_id = addr // PAGE_BYTES

@@ -8,6 +8,7 @@ follow Table 1 of the paper (64K 2-way 32B L1s, 8M 4-way unified L2).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 
@@ -46,9 +47,10 @@ class Cache:
         self.num_sets = size_bytes // (assoc * block_bytes)
         self.stats = CacheStats()
         # Per set: list of tags in LRU order (index 0 = most recent) and
-        # a parallel dirty-bit list.
-        self._tags: list[list[int]] = [[] for _ in range(self.num_sets)]
-        self._dirty: list[list[bool]] = [[] for _ in range(self.num_sets)]
+        # a parallel dirty-bit list, both created when the set is first
+        # used.  Table 1's L2 has 65,536 sets; a run touches few of them.
+        self._tags: defaultdict[int, list[int]] = defaultdict(list)
+        self._dirty: defaultdict[int, list[bool]] = defaultdict(list)
 
     def _locate(self, addr: int) -> tuple[int, int]:
         block = addr // self.block_bytes
@@ -79,16 +81,6 @@ class Cache:
         dirty.insert(0, is_write)
         return False
 
-    def probe(self, addr: int) -> bool:
-        """Check residency without updating LRU state or stats."""
-        set_index, tag = self._locate(addr)
-        return tag in self._tags[set_index]
-
-    def flush(self) -> None:
-        """Invalidate every line (dirty data is dropped, not counted)."""
-        self._tags = [[] for _ in range(self.num_sets)]
-        self._dirty = [[] for _ in range(self.num_sets)]
-
 
 @dataclass
 class PerfectCache:
@@ -100,9 +92,3 @@ class PerfectCache:
     def access(self, addr: int, is_write: bool = False) -> bool:
         self.stats.accesses += 1
         return True
-
-    def probe(self, addr: int) -> bool:
-        return True
-
-    def flush(self) -> None:
-        pass

@@ -79,11 +79,3 @@ class MemoryHierarchy:
         if self.config.perfect:
             return latency
         return latency + self.dtlb.access(addr)
-
-    def flush(self) -> None:
-        """Invalidate caches and TLBs (used between benchmark runs)."""
-        self.l1i.flush()
-        self.l1d.flush()
-        self.l2.flush()
-        self.itlb.flush()
-        self.dtlb.flush()

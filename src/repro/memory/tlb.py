@@ -52,6 +52,3 @@ class TLB:
             self._pages.pop()
         self._pages.insert(0, page)
         return self.miss_latency
-
-    def flush(self) -> None:
-        self._pages = []

@@ -42,11 +42,25 @@ class Workload:
     window: int | None = 30_000
 
     def build(self, scale: int = 1) -> Program:
-        """Assemble the program at the given scale factor (>= 1)."""
+        """The program at the given scale factor (>= 1).
+
+        The last program built for each workload is kept and returned
+        again for the same scale, so the warmup-length count, the run
+        and the workload's next config share one build.  Nothing that
+        runs a :class:`Program` mutates it; call :attr:`builder` for a
+        fresh one.
+        """
         if scale < 1:
             raise ValueError("scale must be >= 1")
-        return self.builder(scale)
+        last = _PROGRAMS.get(self)
+        if last is None or last[0] != scale:
+            last = _PROGRAMS[self] = (scale, self.builder(scale))
+        return last[1]
 
+
+#: The last ``(scale, program)`` each workload built (see
+#: :meth:`Workload.build`): at most one program per workload.
+_PROGRAMS: dict[Workload, tuple[int, Program]] = {}
 
 _REGISTRY: dict[str, Workload] = {}
 

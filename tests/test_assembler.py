@@ -11,6 +11,7 @@ from repro.core.feed import Feed
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import reg_index
 from repro.isa.semantics import MASK64, to_unsigned
+from repro.memory.backing import MainMemory
 
 
 def run_functionally(asm: Assembler, max_steps: int = 10000) -> Feed:
@@ -133,17 +134,18 @@ class TestDataSection:
         asm = Assembler()
         addr = asm.alloc("w", 8)
         asm.data_words(addr, [0x0102030405060708])
-        program = asm.assemble()
-        assert program.image[addr] == 0x08
-        assert program.image[addr + 7] == 0x01
+        mem = MainMemory(asm.assemble().image)
+        assert mem.load_byte(addr) == 0x08
+        assert mem.load_byte(addr + 7) == 0x01
 
     def test_data_words_negative(self):
         asm = Assembler()
         addr = asm.alloc("w", 2)
         asm.data_words(addr, [-1], size=2)
-        program = asm.assemble()
-        assert program.image[addr] == 0xFF
-        assert program.image[addr + 1] == 0xFF
+        mem = MainMemory(asm.assemble().image)
+        assert mem.load_byte(addr) == 0xFF
+        assert mem.load_byte(addr + 1) == 0xFF
+        assert mem.load_byte(addr + 2) == 0
 
 
 class TestPseudoOps:

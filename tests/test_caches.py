@@ -34,13 +34,14 @@ class TestCache:
         cache = self.make(size=128, assoc=2, block=32)  # 2 sets
         set_stride = 2 * 32                             # same set
         a, b, c = 0, set_stride, 2 * set_stride
-        cache.access(a)
-        cache.access(b)
-        cache.access(a)        # a is MRU
-        cache.access(c)        # evicts b (LRU)
-        assert cache.probe(a)
-        assert not cache.probe(b)
-        assert cache.probe(c)
+        assert not cache.access(a)
+        assert not cache.access(b)
+        assert cache.access(a)         # a is MRU
+        assert not cache.access(c)     # evicts b (LRU)
+        assert cache.access(a)         # a survived; c is now LRU
+        assert not cache.access(b)     # b was evicted; evicts c
+        assert cache.access(a)
+        assert not cache.access(c)     # c was evicted by b
 
     def test_writeback_counted_on_dirty_eviction(self):
         cache = self.make(size=64, assoc=1, block=32)   # 2 sets, direct
@@ -53,17 +54,6 @@ class TestCache:
         cache.access(0)
         cache.access(64)
         assert cache.stats.writebacks == 0
-
-    def test_probe_does_not_touch_stats(self):
-        cache = self.make()
-        cache.probe(0)
-        assert cache.stats.accesses == 0
-
-    def test_flush(self):
-        cache = self.make()
-        cache.access(0)
-        cache.flush()
-        assert not cache.probe(0)
 
     def test_capacity_thrash(self):
         # Cyclic access to more lines than fit misses every time (LRU).
@@ -128,12 +118,6 @@ class TestHierarchy:
         h = MemoryHierarchy(HierarchyConfig(perfect=True))
         assert h.access_data(0xABCDEF) == 1
         assert h.fetch_instruction(0x1234) == 1
-
-    def test_flush(self):
-        h = MemoryHierarchy(HierarchyConfig())
-        h.access_data(0)
-        h.flush()
-        assert h.access_data(0) == 12 + 100 + 30
 
     def test_unified_l2_shared_by_code_and_data(self):
         h = MemoryHierarchy(HierarchyConfig())

@@ -18,7 +18,8 @@ Three layers, from leaf to whole-machine:
 
 ``repro-equivalence`` argument validation rides along: a window or
 scale that would compare nothing is a usage error, never a vacuous
-pass.
+pass.  So does set-up cost: building either machine allocates cache
+sets only as a run touches them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,37 @@ class TestFastMachineEquivalence:
         for window in (1, 17, 501):
             assert run_pair("compress", BASELINE, window=window) == []
 
+    def test_cache_sets_agree_after_a_full_run(self):
+        # The fast loop walks the L1s through their tag dicts directly;
+        # after a whole job both backends hold the same lines in the
+        # same LRU order in every set either one filled.
+        w = get_workload("go")
+        warmup = resolve_warmup(w, 1)
+        machines = [Machine(w.build(1), BASELINE),
+                    FastMachine(w.build(1), BASELINE)]
+        for machine in machines:
+            machine.fast_forward(warmup)
+            machine.run(max_insts=w.window)
+        reference, fast = (cache_sets(m) for m in machines)
+        assert all(reference)
+        assert fast == reference
+
+
+class TestSetUp:
+    @pytest.mark.parametrize("machine_cls", [Machine, FastMachine])
+    def test_construction_allocates_under_1mb(self, machine_cls):
+        # Cache sets are created on first touch: Table 1's 65,536-set
+        # L2 must not cost a list pair per set up front.
+        program = get_workload("go").build(1)
+        machine_cls(program, BASELINE)
+        tracemalloc.start()
+        try:
+            machine_cls(program, BASELINE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 # ---------------------------------------------------------------- warmup
 
@@ -182,12 +215,21 @@ def _fields(obj):
             if name not in ("stats", "_last")}
 
 
+def cache_sets(machine) -> list[dict]:
+    """The non-empty tag sets of L1I, L1D and L2.  Sets are created on
+    first touch, so a set one backend merely looked up is empty and
+    left out."""
+    hier = machine.hierarchy
+    return [{index: tags for index, tags in cache._tags.items() if tags}
+            for cache in (hier.l1i, hier.l1d, hier.l2)]
+
+
 def warm_state(machine) -> dict:
     """Everything fast mode changes, read off either backend.
 
-    Caches contribute their tag arrays, not their ``CacheStats`` or
-    dirty bits: the fast backend's same-block shortcut skips those
-    counters by design.
+    Caches contribute their non-empty tag sets, not their
+    ``CacheStats`` or dirty bits: the fast backend's same-block
+    shortcut skips those counters by design.
     """
     if isinstance(machine, FastMachine):
         regs, tags, fload = machine._regs, machine._tags, machine._from_load
@@ -205,7 +247,7 @@ def warm_state(machine) -> dict:
         "regs": regs, "tags": tags, "from_load": fload, "front": front,
         "predictor": _fields(predictor), "btb": _fields(btb),
         "ras": _fields(ras),
-        "caches": [hier.l1i._tags, hier.l1d._tags, hier.l2._tags],
+        "caches": cache_sets(machine),
         "tlbs": [hier.itlb._pages, hier.dtlb._pages],
     })
 

@@ -25,8 +25,9 @@ def _codes(findings):
 
 
 def test_core_and_exec_are_clean():
+    # The same tree CI's lint job checks: every default path.
     findings = lint_invariants.lint_paths(
-        [REPO / "src/repro/core", REPO / "src/repro/exec"])
+        [REPO / path for path in lint_invariants.DEFAULT_PATHS])
     assert findings == [], [str(f) for f in findings]
 
 

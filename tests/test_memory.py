@@ -1,10 +1,20 @@
 """Unit and property tests for the backing store and speculation overlay."""
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.asm.layout import PAGE_BYTES
+from repro.asm.layout import DATA_BASE, PAGE_BYTES
+from repro.isa.instruction import Program
 from repro.memory.backing import MainMemory, SpeculativeMemory
+
+#: Image segments near page edges, below and above the 4 GB line, up to
+#: a little over a page long (so some cross one or two page edges), and
+#: drawn from a few pages so that some overlap.
+segments = st.lists(st.tuples(
+    st.builds(lambda base, page, delta: base + page * PAGE_BYTES + delta,
+              st.sampled_from([0, DATA_BASE]), st.integers(1, 3),
+              st.integers(-96, 96)),
+    st.binary(max_size=PAGE_BYTES + 64)), max_size=6)
 
 
 class TestMainMemory:
@@ -45,8 +55,28 @@ class TestMainMemory:
         assert mem.load(addr, 8) == 0x1122334455667788
 
     def test_image_constructor(self):
-        mem = MainMemory({10: 0xAA, 11: 0xBB})
+        program = Program(instructions=[], image=((10, b"\xaa\xbb"),))
+        mem = MainMemory(program.image)
         assert mem.load(10, 2) == 0xBBAA
+
+    @given(segments)
+    @example([(PAGE_BYTES - 2, b"abcd"), (PAGE_BYTES - 1, b"XY")])
+    @example([(DATA_BASE - 3, b"\x5a" * (2 * PAGE_BYTES)),
+              (DATA_BASE, b""), (DATA_BASE + 5, b"later")])
+    @settings(deadline=None)
+    def test_segments_match_byte_model(self, image):
+        # The image is copied segment by segment, a later one winning
+        # wherever two overlap, exactly like per-byte writes in order.
+        model = {}
+        for addr, data in image:
+            for offset, byte in enumerate(data):
+                model[addr + offset] = byte
+        mem = MainMemory(image)
+        for addr, byte in model.items():
+            assert mem.load_byte(addr) == byte
+        for addr, data in image:
+            for edge in (addr - 1, addr + len(data)):
+                assert mem.load_byte(edge) == model.get(edge, 0)
 
     def test_sparse_distant_pages(self):
         mem = MainMemory()

@@ -12,7 +12,8 @@ import pytest
 from repro.asm.assembler import Assembler
 from repro.core.config import BASELINE
 from repro.core.feed import Feed
-from repro.fastsim.machine import count_to_halt
+from repro.core.machine import Machine
+from repro.fastsim.machine import FastMachine, count_to_halt
 from repro.isa.opcodes import Opcode
 from repro.workloads.data import Xorshift64, audio_samples, image_block, text_bytes
 from repro.workloads.registry import (
@@ -74,12 +75,42 @@ class TestRegistry:
         w = get_workload("go")
         assert dynamic_length(w) == dynamic_length(w)
 
+    def test_build_is_memoized_per_scale(self):
+        w = get_workload("go")
+        first = w.build(1)
+        assert w.build(1) is first
+        assert first == w.builder(1)
+        with pytest.raises(ValueError):
+            w.build(0)
+        assert w.build(1) is first
+        second = w.build(2)
+        assert w.build(2) is second
+        assert second == w.builder(2)
+        # One program per workload is kept: scale 1 is built afresh.
+        again = w.build(1)
+        assert again is not first
+        assert again == first
+
+    def test_runs_leave_the_memoized_program_unchanged(self):
+        # The length count, the warmup and a job's run on either backend
+        # all share the memoized program; none of them may change it.
+        w = get_workload("go")
+        program = w.build(1)
+        warmup = resolve_warmup(w, 1)
+        assert count_to_halt(program) == dynamic_length(w, 1)
+        for machine_cls in (Machine, FastMachine):
+            machine = machine_cls(w.build(1), BASELINE)
+            machine.fast_forward(warmup)
+            assert machine.run(max_insts=w.window).stats.committed
+        assert w.build(1) is program
+        assert program == w.builder(1)
+
 
 @pytest.mark.parametrize("name", sorted(SPEC_NAMES | MEDIA_NAMES))
 class TestAllWorkloads:
     def test_builds_deterministically(self, name):
         w = get_workload(name)
-        p1, p2 = w.build(), w.build()
+        p1, p2 = w.builder(1), w.builder(1)
         assert len(p1) == len(p2)
         assert p1.image == p2.image
 

@@ -40,7 +40,11 @@ from pathlib import Path
 
 #: Packages whose determinism the simulation results depend on.
 DEFAULT_PATHS = ("src/repro/core", "src/repro/exec",
-                 "src/repro/fastsim", "src/repro/service")
+                 "src/repro/fastsim", "src/repro/service",
+                 "src/repro/memory", "src/repro/workloads",
+                 "src/repro/asm", "src/repro/isa", "src/repro/branch",
+                 "src/repro/bitwidth", "src/repro/packing",
+                 "src/repro/power", "src/repro/stats")
 
 _RANDOM_MODULE_FUNCS = frozenset({
     "random", "randint", "randrange", "choice", "choices", "shuffle",
