@@ -257,6 +257,16 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     }
 
 
+def kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Put a pool down hard: terminate children (the only way to
+    reclaim a wedged worker), then shut down without waiting."""
+    processes = getattr(pool, "_processes", None)
+    if processes:
+        for process in list(processes.values()):
+            process.terminate()
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
 class _Attempts:
     """Per-job attempt ledger for one batch of fresh jobs."""
 
@@ -571,7 +581,7 @@ class RunEngine:
                                     "timeout",
                                     submit_epoch=submits[job.key])
                 self._finish_or_requeue(job, attempts, report, requeue)
-                self._kill_pool(pool)
+                kill_pool(pool)
                 broke = True
             except (BrokenExecutor, CancelledError) as err:
                 # A child died.  Every pending future fails with this,
@@ -594,7 +604,7 @@ class RunEngine:
                 self._finish_success(job, payload, attempts, report,
                                      submit_epoch=submits[job.key])
         if broke:
-            self._kill_pool(pool)
+            kill_pool(pool)
         else:
             pool.shutdown(wait=True)
         return requeue, broke
@@ -626,7 +636,7 @@ class RunEngine:
                 self._trace_attempt(job, attempts.count[job.key],
                                     "timeout", submit_epoch=submit_epoch)
                 self._finish_or_requeue(job, attempts, report, requeue)
-                self._kill_pool(pool)
+                kill_pool(pool)
                 continue
             except Exception as err:  # noqa: BLE001 — worker boundary
                 attempts.charge(job, FAILED,
@@ -635,7 +645,7 @@ class RunEngine:
                 self._trace_attempt(job, attempts.count[job.key],
                                     "error", submit_epoch=submit_epoch)
                 self._finish_or_requeue(job, attempts, report, requeue)
-                self._kill_pool(pool)
+                kill_pool(pool)
                 continue
             payloads[job.key] = payload
             self._finish_success(job, payload, attempts, report,
@@ -745,16 +755,6 @@ class RunEngine:
                     time.sleep(policy_delay)
             else:
                 time.sleep(policy_delay)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Put a pool down hard: terminate children (the only way to
-        reclaim a wedged worker), then shut down without waiting."""
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                process.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
 
     def _absorb(self, job: Job, payload: dict) -> RunResult:
         """Rehydrate one fresh payload and feed every result tier.

@@ -40,6 +40,7 @@ from pathlib import Path
 from repro.core.config import MachineConfig, named_configs
 from repro.core.machine import Machine
 from repro.exec.cli import add_engine_arguments, validate_engine_args
+from repro.exec.engine import kill_pool
 from repro.exec.serialize import dict_divergences, result_to_dict
 from repro.fastsim.machine import FastMachine
 from repro.perf.clock import perf_now
@@ -132,19 +133,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failed_row(name: str, error: str) -> dict:
+    """The row of a cell that produced no comparison."""
+    return {"workload": name, "match": False, "divergences": [error],
+            "cycles": 0, "committed": 0, "ref_wall_seconds": 0.0,
+            "fast_wall_seconds": 0.0, "speedup": None}
+
+
 def _run_cells(cells: list[tuple],
                jobs: int, timeout: float | None,
                progress) -> list[dict]:
     """Run comparison cells — serially, or across ``jobs`` worker
     processes (results merge in submission order, so the table and the
-    artifact are identical either way)."""
+    artifact are identical either way).  In a pool, a cell that raises,
+    dies with its worker or outlives ``timeout`` becomes a failed row
+    naming the error, and a pool with a timed-out cell is put down, not
+    waited for."""
     if jobs <= 1:
         rows = []
         for name, config, scale, window in cells:
             progress(name)
             rows.append(compare_one(name, config, scale, window))
         return rows
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    wedged = False
+    try:
         futures = [pool.submit(compare_one, name, config, scale, window)
                    for name, config, scale, window in cells]
         rows = []
@@ -153,14 +166,18 @@ def _run_cells(cells: list[tuple],
             try:
                 rows.append(future.result(timeout=timeout))
             except FutureTimeout:
-                rows.append({
-                    "workload": name, "match": False,
-                    "divergences": [f"timed out after {timeout}s"],
-                    "cycles": 0, "committed": 0,
-                    "ref_wall_seconds": 0.0, "fast_wall_seconds": 0.0,
-                    "speedup": None,
-                })
+                wedged = True
+                rows.append(_failed_row(name,
+                                        f"timed out after {timeout}s"))
+            except Exception as err:  # noqa: BLE001 — worker boundary
+                rows.append(_failed_row(name, f"{type(err).__name__}: "
+                                              f"{err}"))
         return rows
+    finally:
+        if wedged:
+            kill_pool(pool)
+        else:
+            pool.shutdown(wait=True)
 
 
 def main(argv: list[str] | None = None) -> int:

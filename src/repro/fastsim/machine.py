@@ -33,7 +33,11 @@ optimized SimpleScalar-style for raw speed:
   so the walk would return ``l1_latency`` and change nothing but
   hit/dirty counters (cache *latencies*, and therefore cycles, are
   unaffected; only ``CacheStats`` counters — which no
-  :class:`~repro.core.machine.RunResult` field reads — drift).
+  :class:`~repro.core.machine.RunResult` field reads — drift);
+* the cycle loop and the fast-forward interpreter share one L1/TLB
+  walk and one combining-predictor step, so warm-up runs at loop speed;
+* a fresh machine restores the warmed state that the last fast-forward
+  of its program, count and front-end config pickled (:data:`_WARM`).
 
 Everything the timing model decides (fetch breaks, dependences, issue
 selection, packing, replay traps, misprediction recovery, cache
@@ -47,11 +51,11 @@ CI equivalence matrix, and the round-trip tests — is that
 from __future__ import annotations
 
 import gc
+import pickle
 from collections import deque
 from heapq import heappop, heappush
 
 from repro.asm.layout import PAGE_BYTES as _PAGE_BYTES
-from repro.bitwidth.tags import tag_code_of_value
 from repro.branch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.branch.predictors import (
     CombiningPredictor,
@@ -115,6 +119,17 @@ E_ROW = 25      # capture row of the latest measurement (-1: unmeasured)
 E_DEAD = 26     # retired or squashed (producer bookkeeping)
 E_NWAIT = 27    # count of still-incomplete producers (wakeup counter)
 
+#: What a fast-forward changes; ``_spec_memory`` only wraps ``_memory``.
+_WARM_FIELDS = ("_regs", "_tags", "_from_load", "_memory", "_predictor",
+                "_btb", "_ras", "hierarchy", "_fetch_index", "_seq",
+                "_halted", "_iblk", "_ipage", "_dblk", "_dpage")
+
+#: Program name -> ``(program, key, pickled _WARM_FIELDS, executed)`` of
+#: the last fresh fast-forward (see :meth:`FastMachine.fast_forward`).
+#: Module-level like ``registry._PROGRAMS``: the engine's ``_simulate``
+#: has no object to carry it.  Threads only get and set whole tuples.
+_WARM: dict[str, tuple] = {}
+
 
 class FastMachine:
     """One fast-backend simulated processor bound to one program."""
@@ -177,11 +192,38 @@ class FastMachine:
         """Warm caches and predictors functionally (Section 3.2); returns
         the instructions actually executed.
 
-        Control transfers train the predictor, BTB and RAS, then follow
-        the correct path.  Entered mid-speculation (``run(max_insts)``
+        The warmed state depends only on the ``Program`` object,
+        ``instructions``, the predictor/BTB/RAS fields, the hierarchy
+        and load zero-detect.  A fresh machine (nothing fetched or
+        forwarded yet) restores it from :data:`_WARM` when they match,
+        or runs :meth:`_forward` and stores it; any other machine just
+        runs :meth:`_forward`.
+        """
+        if self._seq or self._cycle:
+            return self._forward(instructions)
+        program = self.program
+        c = self.config
+        key = (instructions, c.predictor, c.btb_entries, c.btb_assoc,
+               c.ras_entries, c.hierarchy, c.gating.detect_loads)
+        entry = _WARM.get(program.name)
+        if entry is not None and entry[0] is program and entry[1] == key:
+            for name, value in zip(_WARM_FIELDS, pickle.loads(entry[2])):
+                setattr(self, name, value)
+            self._spec_memory = SpeculativeMemory(self._memory)
+            return entry[3]
+        executed = self._forward(instructions)
+        state = pickle.dumps([getattr(self, name) for name in _WARM_FIELDS],
+                             pickle.HIGHEST_PROTOCOL)
+        _WARM[program.name] = (program, key, state, executed)
+        return executed
+
+    def _forward(self, instructions: int) -> int:
+        """Fast mode behind :meth:`fast_forward`: control transfers train
+        the predictor, BTB and RAS, then follow the correct path.  Entered mid-speculation (``run(max_insts)``
         and ``step()`` can stop there), it keeps the wrong-path rules
         (overlay memory, no training) and stops at a HALT, as the
-        reference feed does.  State lives in locals, as in :meth:`_loop`.
+        reference feed does.  State lives in locals, and the cache walks
+        and predictor step are :meth:`_loop`'s own.
         """
         cp = self.cp
         cp_n = cp.n
@@ -196,12 +238,15 @@ class FastMachine:
         mem = self._spec_memory if spec else self._memory
         mem_load = mem.load
         mem_store = mem.store
-        p_predict = self._predictor.predict
-        p_update = self._predictor.update
+        pages_get = self._memory._pages.get
+        overlay = self._spec_memory._overlay
+        page_bytes = _PAGE_BYTES
+        page_mask = _PAGE_BYTES - 1
+        from_bytes = int.from_bytes
+        bp_step = self._bp_step()
         ras = self._ras
         btb = self._btb
-        i_walk = self.hierarchy.fetch_instruction
-        d_walk = self.hierarchy.access_data
+        i_walk, d_walk = self._walks()
         l1_lat = self._l1_lat
         blk_b = self._blk_bytes
         page_b = self._page_bytes
@@ -219,6 +264,7 @@ class FastMachine:
             pc = cp_base + raw * 4
             fetch_index = raw + 1
             addr = -1
+            rd = -1
             if kind == K_OPERATE:
                 ra, has_rb, rb, imm_u, _, fn, rd31, rd = cp_frow[cidx]
                 res = fn(regs[ra], regs[rb] if has_rb else imm_u,
@@ -226,26 +272,31 @@ class FastMachine:
                 if rd >= 0:
                     regs[rd] = res
                     fload[rd] = False
-                    tags[rd] = tag_code_of_value(res)
             elif kind == K_LOAD:
                 rb, imm_u, _, size, is_ldl, rd = cp_frow[cidx]
                 addr = (regs[rb] + imm_u) & _MASK64
-                res = mem_load(addr, size)
+                off = addr & page_mask
+                if off + size <= page_bytes and not overlay:
+                    pg = pages_get(addr // page_bytes)   # as _loop reads
+                    res = (0 if pg is None else
+                           from_bytes(pg[off:off + size], "little"))
+                else:
+                    res = mem_load(addr, size)
                 if is_ldl and res & 0x80000000:
                     res += 0xFFFFFFFF00000000
                 if rd >= 0:
                     regs[rd] = res
                     fload[rd] = True
-                    # without zero-detect the loaded width is unknown
-                    tags[rd] = tag_code_of_value(res) if detect_loads else 0
+                    if not detect_loads:
+                        tags[rd] = 0   # no zero-detect: width unknown
+                        rd = -1
             elif kind == K_COND:
                 ra, _, _, _, _, bfn, target = cp_frow[cidx]
                 taken = bfn(regs[ra])
                 if taken:
                     fetch_index = target
                 if not spec:   # a wrong-path branch never trains
-                    p_predict(pc, taken)
-                    p_update(pc, taken)
+                    bp_step(pc, taken, True)
             elif kind == K_STORE:
                 rb, imm_u, _, ra, size = cp_frow[cidx]
                 addr = (regs[rb] + imm_u) & _MASK64
@@ -272,9 +323,15 @@ class FastMachine:
                         ras.push(pc + 4)
                     rd = cp.rd_w[cidx]
                     if rd >= 0:
-                        regs[rd] = pc + 4
+                        res = regs[rd] = pc + 4
                         fload[rd] = False
-                        tags[rd] = tag_code_of_value(pc + 4)
+            if rd >= 0:   # classify the result width, as _loop does
+                high = res >> 16
+                if high == 0 or high == 0xFFFFFFFFFFFF:
+                    tags[rd] = 2
+                else:
+                    high = res >> 33
+                    tags[rd] = 1 if high == 0 or high == 0x7FFFFFFF else 0
             executed += 1
 
             # Same-block/page shortcut: an L1 + TLB hit leaves both
@@ -330,6 +387,165 @@ class FastMachine:
         """Simulate one machine cycle (no-op once the run is done)."""
         if not self.done:
             self._loop(None, self._cycle + 1)
+
+    # ------------------------------------------- shared by both loops
+
+    def _walks(self):
+        """The L1 + TLB access walks of :meth:`_loop` and
+        :meth:`_forward`: ``(i_walk(pc), d_walk(addr, is_write=False))``,
+        each returning the access latency."""
+        hier = self.hierarchy
+        if hier.config.perfect:
+            # all-hit hierarchy: the walk is already trivial
+            return hier.fetch_instruction, hier.access_data
+        l1_lat = self._l1_lat
+        blk_b = self._blk_bytes
+        page_b = self._page_bytes
+
+        # L1-hit + TLB fast path, inlined over the cache/TLB guts.
+        # Replacement state (LRU order, TLB contents) is updated exactly
+        # as Cache.access/TLB.access would; on an L1 miss the full
+        # hierarchy walk runs instead, so every latency — and all future
+        # hit/miss behaviour — is identical.  Only the CacheStats/TLBStats
+        # counters are skipped on the fast path (no RunResult field
+        # reads them; see module docstring).
+        def i_walk(pc, _sets=hier.l1i.num_sets,
+                   _tags=hier.l1i._tags, _dirty=hier.l1i._dirty,
+                   _pages=hier.itlb._pages,
+                   _miss_lat=hier.itlb.miss_latency,
+                   _entries=hier.itlb.entries,
+                   _full=hier.fetch_instruction):
+            blk = pc // blk_b
+            row = _tags[blk % _sets]
+            try:
+                way = row.index(blk // _sets)
+            except ValueError:
+                return _full(pc)            # L1 miss: full walk
+            if way:
+                row.insert(0, row.pop(way))
+                drow = _dirty[blk % _sets]
+                drow.insert(0, drow.pop(way))
+            page = pc // page_b
+            if _pages and _pages[0] == page:
+                return l1_lat
+            try:
+                pi = _pages.index(page)
+            except ValueError:
+                if len(_pages) >= _entries:
+                    _pages.pop()
+                _pages.insert(0, page)
+                return l1_lat + _miss_lat
+            _pages.insert(0, _pages.pop(pi))
+            return l1_lat
+
+        def d_walk(addr, is_write=False, _sets=hier.l1d.num_sets,
+                   _tags=hier.l1d._tags, _dirty=hier.l1d._dirty,
+                   _pages=hier.dtlb._pages,
+                   _miss_lat=hier.dtlb.miss_latency,
+                   _entries=hier.dtlb.entries,
+                   _full=hier.access_data):
+            blk = addr // blk_b
+            si = blk % _sets
+            row = _tags[si]
+            try:
+                way = row.index(blk // _sets)
+            except ValueError:
+                return _full(addr, is_write)   # L1 miss: full walk
+            if way or is_write:
+                drow = _dirty[si]
+                drow.insert(0, drow.pop(way) or is_write)
+                if way:
+                    row.insert(0, row.pop(way))
+            page = addr // page_b
+            if _pages and _pages[0] == page:
+                return l1_lat
+            try:
+                pi = _pages.index(page)
+            except ValueError:
+                if len(_pages) >= _entries:
+                    _pages.pop()
+                _pages.insert(0, page)
+                return l1_lat + _miss_lat
+            _pages.insert(0, _pages.pop(pi))
+            return l1_lat
+
+        return i_walk, d_walk
+
+    def _bp_step(self):
+        """The branch-predictor step of :meth:`_loop` and
+        :meth:`_forward`: ``step(pc, taken, train)`` returns the
+        predicted direction and, when ``train`` (the good path; the
+        wrong path only consults), trains on ``taken``.
+
+        Table 1's combining predictor is three saturating-counter tables
+        plus histories, which the step updates directly instead of
+        walking the predict()/update() call chain; its component
+        PredictorStats, which no RunResult field reads, are skipped.
+        Every other predictor keeps its method calls.
+        """
+        predictor = self._predictor
+        if type(predictor) is not CombiningPredictor:
+            def step(pc, taken, train, _p=predictor):
+                if not train:
+                    return _p.lookup(pc)
+                predicted = _p.predict(pc, taken)
+                _p.update(pc, taken)
+                return predicted
+            return step
+        local = predictor.local
+        glob = predictor.global_
+        lt = local._table
+        gt = glob._table
+        st = predictor._selector
+
+        def step(pc, taken, train, _glob=glob, _l_hists=local._histories,
+                 _l_slot_mask=len(local._histories) - 1,
+                 _l_hist_mask=local._history_mask,
+                 _l_table=lt._table, _l_index_mask=len(lt) - 1,
+                 _l_thr=lt.threshold, _l_max=lt.max_value,
+                 _g_table=gt._table, _g_index_mask=len(gt) - 1,
+                 _g_thr=gt.threshold, _g_max=gt.max_value,
+                 _g_hist_mask=glob._history_mask,
+                 _s_table=st._table, _s_index_mask=len(st) - 1,
+                 _s_thr=st.threshold, _s_max=st.max_value):
+            # Indexes mirror predict()/update(): all reads use the
+            # pre-update histories.
+            ghist = _glob._history
+            sel_i = ghist & _s_index_mask
+            lslot = (pc >> 2) & _l_slot_mask
+            lhistory = _l_hists[lslot]
+            l_i = lhistory & _l_index_mask
+            local_p = _l_table[l_i] >= _l_thr
+            g_i = ghist & _g_index_mask
+            global_p = _g_table[g_i] >= _g_thr
+            predicted = global_p if _s_table[sel_i] >= _s_thr else local_p
+            if not train:
+                return predicted
+            if local_p != global_p:
+                # selector trains toward whichever component was right
+                v = _s_table[sel_i]
+                if global_p == taken:
+                    if v < _s_max:
+                        _s_table[sel_i] = v + 1
+                elif v > 0:
+                    _s_table[sel_i] = v - 1
+            v = _l_table[l_i]
+            if taken:
+                if v < _l_max:
+                    _l_table[l_i] = v + 1
+            elif v > 0:
+                _l_table[l_i] = v - 1
+            _l_hists[lslot] = ((lhistory << 1) | taken) & _l_hist_mask
+            v = _g_table[g_i]
+            if taken:
+                if v < _g_max:
+                    _g_table[g_i] = v + 1
+            elif v > 0:
+                _g_table[g_i] = v - 1
+            _glob._history = ((ghist << 1) | taken) & _g_hist_mask
+            return predicted
+
+        return step
 
     # ------------------------------------------------------- fused loop
 
@@ -417,40 +633,7 @@ class FastMachine:
         checkpoint = self._checkpoint
         perfect = self._perfect
         detect_loads = self._detect_loads
-        predictor = self._predictor
-        p_predict = predictor.predict
-        p_update = predictor.update
-        p_lookup = predictor.lookup
-        # Table 1's combining predictor is three saturating-counter
-        # tables plus histories; when it is the configured predictor,
-        # the loop manipulates those lists directly instead of walking
-        # the layered predict()/lookup()/update() call chain.  (The
-        # component PredictorStats are not maintained on this path —
-        # they are internal diagnostics no RunResult field reads.)
-        comb = (predictor if type(predictor) is CombiningPredictor
-                else None)
-        if comb is not None:
-            _local = comb.local
-            _global = comb.global_
-            l_hists = _local._histories
-            l_hist_mask = _local._history_mask
-            l_slot_mask = len(l_hists) - 1
-            l_table = _local._table._table
-            l_index_mask = len(l_table) - 1
-            l_thr = _local._table.threshold
-            l_max = _local._table.max_value
-            g_table = _global._table._table
-            g_index_mask = len(g_table) - 1
-            g_thr = _global._table.threshold
-            g_max = _global._table.max_value
-            g_hist_mask = _global._history_mask
-            ghist = _global._history
-            s_table = comb._selector._table
-            s_index_mask = len(s_table) - 1
-            s_thr = comb._selector.threshold
-            s_max = comb._selector.max_value
-        else:
-            ghist = 0
+        bp_step = self._bp_step()
         ras_push = self._ras.push
         ras_pop = self._ras.pop
         btb_lookup = self._btb.lookup
@@ -467,9 +650,7 @@ class FastMachine:
         from_bytes = int.from_bytes
 
         # ---- caches (latency walk + same-block/page shortcut)
-        hier = self.hierarchy
-        hier_ifetch = hier.fetch_instruction
-        hier_daccess = hier.access_data
+        i_walk, d_walk = self._walks()
         l1_lat = self._l1_lat
         blk_b = self._blk_bytes
         page_b = self._page_bytes
@@ -477,78 +658,6 @@ class FastMachine:
         ipage = self._ipage
         dblk = self._dblk
         dpage = self._dpage
-        if hier.config.perfect:
-            # all-hit hierarchy: the walk is already trivial
-            i_walk = hier_ifetch
-            d_walk = hier_daccess
-        else:
-            # L1-hit + TLB fast path, inlined over the cache/TLB guts.
-            # Replacement state (LRU order, TLB contents) is updated
-            # exactly as Cache.access/TLB.access would; on an L1 miss
-            # the full hierarchy walk runs instead, so every latency —
-            # and all future hit/miss behaviour — is identical.  Only
-            # the CacheStats/TLBStats counters are skipped on the fast
-            # path (no RunResult field reads them; see module
-            # docstring).
-            def i_walk(pc, _sets=hier.l1i.num_sets,
-                       _tags=hier.l1i._tags, _dirty=hier.l1i._dirty,
-                       _pages=hier.itlb._pages,
-                       _miss_lat=hier.itlb.miss_latency,
-                       _entries=hier.itlb.entries,
-                       _full=hier_ifetch):
-                blk = pc // blk_b
-                row = _tags[blk % _sets]
-                try:
-                    way = row.index(blk // _sets)
-                except ValueError:
-                    return _full(pc)            # L1 miss: full walk
-                if way:
-                    row.insert(0, row.pop(way))
-                    drow = _dirty[blk % _sets]
-                    drow.insert(0, drow.pop(way))
-                page = pc // page_b
-                if _pages and _pages[0] == page:
-                    return l1_lat
-                try:
-                    pi = _pages.index(page)
-                except ValueError:
-                    if len(_pages) >= _entries:
-                        _pages.pop()
-                    _pages.insert(0, page)
-                    return l1_lat + _miss_lat
-                _pages.insert(0, _pages.pop(pi))
-                return l1_lat
-
-            def d_walk(addr, is_write=False, _sets=hier.l1d.num_sets,
-                       _tags=hier.l1d._tags, _dirty=hier.l1d._dirty,
-                       _pages=hier.dtlb._pages,
-                       _miss_lat=hier.dtlb.miss_latency,
-                       _entries=hier.dtlb.entries,
-                       _full=hier_daccess):
-                blk = addr // blk_b
-                si = blk % _sets
-                row = _tags[si]
-                try:
-                    way = row.index(blk // _sets)
-                except ValueError:
-                    return _full(addr, is_write)   # L1 miss: full walk
-                if way or is_write:
-                    drow = _dirty[si]
-                    drow.insert(0, drow.pop(way) or is_write)
-                    if way:
-                        row.insert(0, row.pop(way))
-                page = addr // page_b
-                if _pages and _pages[0] == page:
-                    return l1_lat
-                try:
-                    pi = _pages.index(page)
-                except ValueError:
-                    if len(_pages) >= _entries:
-                        _pages.pop()
-                    _pages.insert(0, page)
-                    return l1_lat + _miss_lat
-                _pages.insert(0, _pages.pop(pi))
-                return l1_lat
 
         # ---- timing state
         entries = self._entries
@@ -1075,51 +1184,7 @@ class FastMachine:
                             tb = imm_tag
                         taken = bfn(a)
                         actual = tgt if taken else raw + 1
-                        if comb is not None:
-                            # McFarling combining predictor, inlined.
-                            # Indexes mirror predict()/update(): all
-                            # reads use the pre-update histories.
-                            sel_i = ghist & s_index_mask
-                            lslot = (pc >> 2) & l_slot_mask
-                            lhistory = l_hists[lslot]
-                            l_i = lhistory & l_index_mask
-                            local_p = l_table[l_i] >= l_thr
-                            g_i = ghist & g_index_mask
-                            global_p = g_table[g_i] >= g_thr
-                            ptaken = (global_p
-                                      if s_table[sel_i] >= s_thr
-                                      else local_p)
-                            if not sp:   # wrong path consults, never trains
-                                if local_p != global_p:
-                                    # selector trains toward whichever
-                                    # component was right
-                                    v = s_table[sel_i]
-                                    if global_p == taken:
-                                        if v < s_max:
-                                            s_table[sel_i] = v + 1
-                                    elif v > 0:
-                                        s_table[sel_i] = v - 1
-                                v = l_table[l_i]
-                                if taken:
-                                    if v < l_max:
-                                        l_table[l_i] = v + 1
-                                elif v > 0:
-                                    l_table[l_i] = v - 1
-                                l_hists[lslot] = ((lhistory << 1) | taken) \
-                                    & l_hist_mask
-                                v = g_table[g_i]
-                                if taken:
-                                    if v < g_max:
-                                        g_table[g_i] = v + 1
-                                elif v > 0:
-                                    g_table[g_i] = v - 1
-                                ghist = ((ghist << 1) | taken) & g_hist_mask
-                        elif sp:
-                            ptaken = p_lookup(pc)        # consult, not train
-                        else:
-                            ptaken = p_predict(pc, taken)
-                            p_update(pc, taken)
-                        pred = tgt if ptaken else raw + 1
+                        pred = tgt if bp_step(pc, taken, not sp) else raw + 1
                         if perfect:
                             pred = actual
                         if sp:
@@ -1265,8 +1330,6 @@ class FastMachine:
         self._dblk = dblk
         self._dpage = dpage
         self.done = done
-        if comb is not None:
-            comb.global_._history = ghist
         stats.cycles += d_cycles
         stats.fetched += d_fetched
         stats.dispatched += d_dispatched

@@ -1,6 +1,6 @@
 """Differential tests for the two-phase fast backend.
 
-Three layers, from leaf to whole-machine:
+Four layers, from leaf to whole-machine:
 
 1. the per-opcode dispatch tables (``COMPUTE_FNS``/``BRANCH_FNS``)
    against the reference ``compute()``/``branch_taken()`` if-chains,
@@ -11,15 +11,20 @@ Three layers, from leaf to whole-machine:
    identical over a matrix of workloads and configurations, and the
    fast-forward warmup must leave the same state as the reference's
    from any entry point, including mid-speculation and split calls;
-3. the run engine's ``backend`` plumbing: ``fast`` yields the same
+3. the warm store: a fresh machine restores the state the last
+   fast-forward of the same ``Program`` object stored under an equal
+   key, the key holds every config field that changes that state, and
+   threads sharing the store see the sequential states;
+4. the run engine's ``backend`` plumbing: ``fast`` yields the same
    results as ``reference`` through :class:`RunEngine`, ``both``
    cross-checks and raises :class:`BackendDivergence` on any tampering,
    and an unknown backend is rejected at context construction.
 
 ``repro-equivalence`` argument validation rides along: a window or
 scale that would compare nothing is a usage error, never a vacuous
-pass.  So does set-up cost: building either machine allocates cache
-sets only as a run touches them.
+pass, and a pooled cell that hangs, raises or kills its worker is a
+failed row, never a hang or a traceback.  So does set-up cost: building
+either machine allocates cache sets only as a run touches them.
 """
 
 from __future__ import annotations
@@ -27,19 +32,30 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import os
+import sys
+import threading
+import time
 import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bitwidth.tags import tag_code
-from repro.core.config import BASELINE, MachineConfig
+from repro.core.config import (
+    BASELINE,
+    MachineConfig,
+    ObsConfig,
+    PackingConfig,
+)
 from repro.core.machine import Machine
 from repro.exec import Job, RunContext, RunEngine, clear_memo
 from repro.exec.engine import BackendDivergence
 from repro.exec.serialize import dict_divergences, result_to_dict
 from repro.fastsim import cli as equivalence_cli
+from repro.fastsim import machine as fast_machine
 from repro.fastsim.machine import FastMachine
 from repro.isa.opcodes import Opcode
 from repro.isa.semantics import (
@@ -49,6 +65,7 @@ from repro.isa.semantics import (
     branch_taken,
     compute,
 )
+from repro.memory.hierarchy import HierarchyConfig
 from repro.power.gating import GatingPolicy
 from repro.robust.report import SuiteFailure
 from repro.workloads.registry import (
@@ -201,10 +218,10 @@ class TestSetUp:
 
 def _fields(obj):
     """Plain-data view of a predictor, BTB or RAS: its tables,
-    histories and pointers.  Left out are the stats counters, which the
-    fast cycle loop skips for the component predictors by design, and
-    the combining predictor's ``_last``, a scratch value passed from
-    predict() to update()."""
+    histories and pointers.  Left out are the stats counters, which both
+    fast-backend interpreters skip for the combining predictor by
+    design, and its ``_last``, a scratch value passed from predict() to
+    update()."""
     if isinstance(obj, (list, tuple)):
         return [_fields(item) for item in obj]
     if not hasattr(obj, "__dict__") and not hasattr(obj, "__slots__"):
@@ -257,7 +274,9 @@ NO_DETECT = BASELINE.with_gating(GatingPolicy(detect_loads=False))
 
 class TestFastForward:
     """``FastMachine.fast_forward`` against ``Machine.fast_forward``:
-    same count returned, same warmed state, from any entry point."""
+    same count returned, same warmed state, from any entry point.  The
+    fast machines run fresh programs from ``builder``, so they
+    fast-forward for real instead of restoring a stored state."""
 
     @pytest.mark.parametrize("workload,config", [
         ("go", BASELINE),
@@ -274,7 +293,7 @@ class TestFastForward:
         length = dynamic_length(w, 1)
         for n in (0, 1, 17, resolve_warmup(w, 1), length + 3):
             reference = Machine(w.build(1), config)
-            fast = FastMachine(w.build(1), config)
+            fast = FastMachine(w.builder(1), config)
             executed = fast.fast_forward(n)
             assert executed == reference.fast_forward(n)
             assert executed == min(n, length)     # stops after HALT
@@ -301,17 +320,269 @@ class TestFastForward:
         # one call does, through the detailed run that follows.
         w = get_workload("compress")
         warmup = resolve_warmup(w, 1)
-        whole = FastMachine(w.build(1), BASELINE)
+        whole = FastMachine(w.builder(1), BASELINE)
         whole.fast_forward(warmup)
         state = warm_state(whole)
         expected = result_to_dict(whole.run(max_insts=WINDOW))
         for first in (1, 17, warmup // 3):
-            split = FastMachine(w.build(1), BASELINE)
+            split = FastMachine(w.builder(1), BASELINE)
             assert split.fast_forward(first) == first
             assert split.fast_forward(warmup - first) == warmup - first
             assert warm_state(split) == state
             out = result_to_dict(split.run(max_insts=WINDOW))
             assert dict_divergences(expected, out) == []
+
+
+# ------------------------------------------------------------ warm store
+
+PACKING_REPLAY = BASELINE.with_packing(replay=True)
+
+
+@pytest.fixture
+def forwards(monkeypatch):
+    """Starts from an empty warm store and records the count of every
+    call into the inner interpreter, so a restore shows as no call."""
+    calls = []
+    inner = FastMachine._forward
+
+    def counted(self, instructions):
+        calls.append(instructions)
+        return inner(self, instructions)
+
+    monkeypatch.setattr(FastMachine, "_forward", counted)
+    fast_machine._WARM.clear()
+    yield calls
+    fast_machine._WARM.clear()
+
+
+def forwarded(program, config, instructions) -> FastMachine:
+    """A new machine after ``fast_forward(instructions)``."""
+    machine = FastMachine(program, config)
+    machine.fast_forward(instructions)
+    return machine
+
+
+def shortcut(machine) -> list[int]:
+    """The same-block shortcut registers, which ``warm_state`` leaves
+    out because the reference machine has none."""
+    return [machine._iblk, machine._ipage, machine._dblk, machine._dpage]
+
+
+class TestWarmStore:
+    def test_fresh_machine_with_an_equal_key_restores(self, forwards):
+        w = get_workload("go")
+        program = w.build(1)
+        n = resolve_warmup(w, 1)
+        forwarded(program, BASELINE, n)
+        restored = FastMachine(program, PACKING_REPLAY)
+        assert restored.fast_forward(n) == n
+        assert forwards == [n]
+
+    @pytest.mark.parametrize("change", ["program", "count", "key-field"])
+    def test_other_program_count_or_key_field_misses(self, forwards,
+                                                     change):
+        w = get_workload("go")
+        program = w.build(1)
+        n = resolve_warmup(w, 1)
+        forwarded(program, BASELINE, n)
+        other = {"program": (w.builder(1), BASELINE, n),
+                 "count": (program, BASELINE, n - 1),
+                 "key-field": (program, NO_DETECT, n)}[change]
+        forwarded(*other)
+        assert forwards == [n, other[2]]
+
+    def test_machine_that_is_not_fresh_skips_the_store(self, forwards):
+        # A restored machine (the second half of a split warm-up), a
+        # stepped one and a run one all interpret, even though the
+        # store holds this program and count, and none replaces it.
+        w = get_workload("go")
+        program = w.build(1)
+        n = resolve_warmup(w, 1)
+        forwarded(program, BASELINE, n)
+        entry = fast_machine._WARM[program.name]
+        restored = forwarded(program, BASELINE, n)
+        stepped = FastMachine(program, BASELINE)
+        stepped.step()
+        ran = FastMachine(program, BASELINE)
+        ran.run(max_insts=50)
+        for machine in (restored, stepped, ran):
+            machine.fast_forward(n)
+        assert forwards == [n] * 4
+        assert fast_machine._WARM[program.name] is entry
+
+    # xlisp is the one workload whose warm-up calls and returns, so
+    # it carries the RAS and BTB.
+    @pytest.mark.parametrize("workload", ["gcc", "compress", "xlisp"])
+    def test_restored_state_matches_the_reference(self, forwards,
+                                                  workload):
+        w = get_workload(workload)
+        program = w.build(1)
+        n = resolve_warmup(w, 1)
+        forwarded(program, BASELINE, n)
+        restored = forwarded(program, BASELINE.with_packing(), n)
+        assert len(forwards) == 1
+        reference = Machine(program, BASELINE)
+        reference.fast_forward(n)
+        assert warm_state(restored) == warm_state(reference)
+
+    def test_stored_state_outlives_both_runs(self, forwards):
+        # The store keeps bytes, not objects: after the machine that
+        # stored the state and one that restored it both run to
+        # completion, a third restore still equals a fresh fast-forward.
+        w = get_workload("go")
+        program = w.build(1)
+        n = resolve_warmup(w, 1)
+        stored = forwarded(program, BASELINE, n)
+        restored = forwarded(program, BASELINE, n)
+        for machine in (stored, restored):
+            machine.run()
+            assert machine.done
+        third = forwarded(program, BASELINE, n)
+        assert forwards == [n]
+        fresh = forwarded(w.builder(1), BASELINE, n)
+        assert warm_state(third) == warm_state(fresh)
+        assert shortcut(third) == shortcut(fresh)
+
+    def test_packing_replay_after_baseline_restores_bit_exact(self,
+                                                             forwards):
+        assert run_pair("compress", BASELINE) == []
+        assert run_pair("compress", PACKING_REPLAY) == []
+        assert len(forwards) == 1
+
+    def test_threads_see_the_sequential_states(self, forwards):
+        # More threads than cores warm go and gcc under three configs
+        # in rotated orders, with the interpreter switching threads
+        # every microsecond: a restore that read a half-stored entry,
+        # or shared an object with another machine, breaks equality.
+        cells = [(name, config) for name in ("go", "gcc")
+                 for config in (BASELINE, PACKING_REPLAY, NO_DETECT)]
+        warmups = {name: resolve_warmup(get_workload(name), 1)
+                   for name in ("go", "gcc")}
+        expected = {}
+        for name, config in cells:
+            fast_machine._WARM.clear()
+            machine = forwarded(get_workload(name).build(1), config,
+                                warmups[name])
+            expected[name, config] = warm_state(machine)
+        fast_machine._WARM.clear()
+        results = []
+        errors = []
+
+        def warm(order):
+            try:
+                for _ in range(3):
+                    for name, config in order:
+                        machine = forwarded(get_workload(name).build(1),
+                                            config, warmups[name])
+                        results.append((name, config, warm_state(machine)))
+            except Exception as err:  # noqa: BLE001 — reported below
+                errors.append(err)
+
+        count = 2 * (os.cpu_count() or 1) + 2
+        threads = [threading.Thread(
+            target=warm, args=(cells[i % 6:] + cells[:i % 6],))
+            for i in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == count * 3 * len(cells)
+        for name, config, state in results:
+            assert state == expected[name, config], name
+        assert len(forwards) < len(results)    # some threads restored
+
+
+#: Every config field, by whether the warm key holds it (True) or the
+#: warmed state ignores it (False).  A field not listed fails
+#: ``test_every_field_is_classified``, so a new one must be sorted here.
+WARM_KEY = {
+    MachineConfig: {
+        "ruu_size": False, "lsq_size": False, "fetch_queue_size": False,
+        "fetch_width": False, "decode_width": False,
+        "issue_width": False, "commit_width": False, "int_alus": False,
+        "int_mult_div": False, "alu_latency": False,
+        "mult_latency": False, "mispredict_penalty": False,
+        "predictor": True, "btb_entries": True, "btb_assoc": True,
+        "ras_entries": True, "max_cycles": False,
+    },
+    HierarchyConfig: dict.fromkeys([
+        "l1i_size", "l1i_assoc", "l1d_size", "l1d_assoc", "l2_size",
+        "l2_assoc", "block_bytes", "l1_latency", "l2_latency",
+        "memory_latency", "tlb_entries", "tlb_miss_latency", "perfect",
+    ], True),
+    GatingPolicy: {"gate16": False, "gate33": False,
+                   "detect_loads": True, "operand_based": False},
+    PackingConfig: dict.fromkeys(
+        ["enabled", "replay", "max_subwords", "same_opcode"], False),
+    ObsConfig: dict.fromkeys(
+        ["sampler_window", "events", "max_events"], False),
+}
+
+#: The MachineConfig fields that nest one of the classes above.
+NESTED = {"hierarchy": HierarchyConfig, "packing": PackingConfig,
+          "gating": GatingPolicy, "obs": ObsConfig}
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return 2 * value
+    return "bimodal"            # the predictor, the one string field
+
+
+def config_variants():
+    """``(field, in_key, config)``: BASELINE with one field changed."""
+    for name, in_key in WARM_KEY[MachineConfig].items():
+        yield name, in_key, replace(
+            BASELINE, **{name: _changed(getattr(BASELINE, name))})
+    for attr, cls in NESTED.items():
+        nested = getattr(BASELINE, attr)
+        for name, in_key in WARM_KEY[cls].items():
+            yield f"{attr}.{name}", in_key, replace(BASELINE, **{
+                attr: replace(nested,
+                              **{name: _changed(getattr(nested, name))})})
+
+
+class TestWarmKey:
+    def test_every_field_is_classified(self):
+        assert set(WARM_KEY) == {MachineConfig, *NESTED.values()}
+        for cls, listed in WARM_KEY.items():
+            names = {f.name for f in fields(cls)} - set(NESTED)
+            assert names == set(listed), cls.__name__
+
+    @pytest.mark.parametrize("workload", ["gcc", "compress"])
+    def test_fields_outside_the_key_leave_the_state_alone(
+            self, forwards, workload):
+        w = get_workload(workload)
+        program = w.build(1)
+        n = resolve_warmup(w, 1)
+        expected = warm_state(forwarded(program, BASELINE, n))
+        outside = [(name, config) for name, in_key, config
+                   in config_variants() if not in_key]
+        for name, config in outside:
+            fast_machine._WARM.clear()          # forward for real
+            assert warm_state(forwarded(program, config, n)) == expected, \
+                name
+        assert len(forwards) == 1 + len(outside)
+
+    def test_key_fields_miss_the_store(self, forwards):
+        w = get_workload("go")
+        program = w.build(1)
+        n = resolve_warmup(w, 1)
+        for name, in_key, config in config_variants():
+            if in_key:
+                forwarded(program, BASELINE, n)   # the store holds this
+                calls = len(forwards)
+                forwarded(program, config, n)
+                assert len(forwards) == calls + 1, name
 
 
 # ----------------------------------------------------------------- engine
@@ -395,6 +666,66 @@ class TestEquivalenceArgs:
             equivalence_cli.main(argv + ["--workloads", "go"])
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+
+def _matched(name: str) -> dict:
+    return {"workload": name, "match": True, "divergences": [],
+            "cycles": 1, "committed": 1, "ref_wall_seconds": 0.0,
+            "fast_wall_seconds": 0.0, "speedup": None}
+
+
+# Stand-ins for compare_one in the pool tests; module-level, so a pool
+# worker can unpickle them.  go misbehaves, every other cell matches.
+
+def _compare_hangs(name, config, scale, window):
+    if name == "go":
+        time.sleep(60)
+    return _matched(name)
+
+
+def _compare_raises(name, config, scale, window):
+    if name == "go":
+        raise RuntimeError("cell exploded")
+    return _matched(name)
+
+
+def _compare_kills_its_worker(name, config, scale, window):
+    if name == "go":
+        os._exit(3)
+    return _matched(name)
+
+
+class TestEquivalencePool:
+    def test_timed_out_cell_does_not_hold_the_command(self, monkeypatch,
+                                                     capsys):
+        # The wedged worker is terminated, not waited for.
+        monkeypatch.setattr(equivalence_cli, "compare_one", _compare_hangs)
+        start = time.monotonic()
+        code = equivalence_cli.main(["--workloads", "go", "compress",
+                                     "--jobs", "2", "--timeout", "1"])
+        assert time.monotonic() - start < 30
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "timed out after 1.0s" in out
+        assert out.rstrip().endswith("1/2 matched, 1 divergent")
+
+    @pytest.mark.parametrize("stub,error", [
+        (_compare_raises, "RuntimeError: cell exploded"),
+        (_compare_kills_its_worker, "BrokenProcessPool"),
+    ], ids=["raises", "kills-worker"])
+    def test_failed_cell_is_a_row(self, monkeypatch, capsys, tmp_path,
+                                  stub, error):
+        monkeypatch.setattr(equivalence_cli, "compare_one", stub)
+        out = tmp_path / "eq.json"
+        code = equivalence_cli.main(["--workloads", "go", "compress",
+                                     "--jobs", "2", "--out", str(out)])
+        assert code == 1
+        assert "divergent" in capsys.readouterr().out
+        rows = json.loads(out.read_text())["configs"]["baseline"][
+            "workloads"]
+        assert rows[0]["workload"] == "go"
+        assert not rows[0]["match"]
+        assert error in rows[0]["divergences"][0]
 
 
 class TestEquivalenceReport:
