@@ -8,10 +8,11 @@ model SimpleScalar-style (``sim-fast`` / ``sim-outorder``):
   cycle loop executes the workload functionally through
   :mod:`repro.isa.semantics` on flat integer state, drives an exact
   reimplementation of the reference timing model, and captures a
-  compact *columnar dynamic trace* of every measured operation
-  (op class/opcode codes, operand values, PCs, width-tag codes);
+  compact *flat dynamic trace* of every measured operation (static
+  index, operand values, width-tag codes, load provenance);
 * **phase 2 — replay** (:mod:`repro.fastsim.replay`): the captured
-  columns are replayed through *vectorized twins* of width tagging
+  rows, joined by index to the compiled program's static columns, are
+  replayed through *vectorized twins* of width tagging
   (:mod:`repro.bitwidth.vector`), packing eligibility
   (:func:`repro.packing.pack.vector_pack_candidates`), gating
   (:func:`repro.bitwidth.vector.gate_widths`), and power/stat

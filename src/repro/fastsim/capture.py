@@ -1,10 +1,12 @@
-"""Columnar dynamic-trace capture (phase 1 of the fast backend).
+"""Flat dynamic-trace capture (phase 1 of the fast backend).
 
 A :class:`TraceCapture` accumulates one row per *measured* operation —
 the exact stream the reference machine's instruments observe at issue
 time (width-tracked classes plus jumps, wrong path and replay re-issues
-included).  Rows are appended as plain Python ints and converted to
-numpy columns once, when the replay phase asks for them.
+included).  A row is only what varies per dynamic instance: six plain
+ints appended to one flat list.  Phase 2 reads the list into numpy
+once, and takes each row's static facts (op class, opcode, PC, whether
+it produces a result) from the compiled program by its index.
 
 The capture is also a valid sink for
 :meth:`repro.core.machine.Machine.attach_capture`, so the reference
@@ -26,62 +28,30 @@ OPCODE_ORDER: tuple[Opcode, ...] = tuple(Opcode)
 CLASS_CODE: dict[OpClass, int] = {c: i for i, c in enumerate(CLASS_ORDER)}
 OPCODE_CODE: dict[Opcode, int] = {o: i for i, o in enumerate(OPCODE_ORDER)}
 
+#: Values per row: ``(cidx, a, b, tag_a, tag_b, from_load)``.
+ROW_VALUES = 6
+
 
 class TraceCapture:
-    """Row store for the measured-operation stream.
+    """Flat value store for the measured-operation stream.
 
-    Rows are 9-tuples ``(cls, opc, pc, a, b, tag_a, tag_b, from_load,
-    produces)`` — one list append per measured operation on the hot
-    path; :meth:`columns` transposes to numpy columns once at replay.
+    Each row extends :attr:`values` by ``(cidx, a, b, tag_a, tag_b,
+    from_load)``: the static instruction index, the ALU operand pair,
+    their width-tag codes and whether an operand came straight from a
+    load.  ``len()`` counts rows.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("values",)
 
     def __init__(self) -> None:
-        self.rows: list[tuple] = []
+        self.values: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-    def add(self, cls_code: int, opc_code: int, pc: int, a: int, b: int,
-            tag_a: int, tag_b: int, from_load: bool,
-            produces: bool) -> None:
-        """Append one measured operation."""
-        self.rows.append((cls_code, opc_code, pc, a, b, tag_a, tag_b,
-                          from_load, produces))
+        return len(self.values) // ROW_VALUES
 
     def __call__(self, dyn) -> None:
         """``Machine.attach_capture`` sink: capture a measured
         :class:`~repro.core.feed.DynInst` from the reference machine."""
-        self.rows.append((CLASS_CODE[dyn.op_class],
-                          OPCODE_CODE[dyn.inst.opcode],
-                          dyn.pc, dyn.a_val, dyn.b_val,
-                          tag_code(dyn.tag_a), tag_code(dyn.tag_b),
-                          dyn.operand_from_load, dyn.result is not None))
-
-    def columns(self) -> dict:
-        """Materialize the trace as numpy columns for phase-2 replay."""
-        import numpy as np
-
-        rows = self.rows
-        n = len(rows)
-        # One C-level transpose beats nine generator passes over the
-        # row list (the row store is a hot-loop artifact; this runs
-        # once per simulation but over every measured operation).
-        (cls, opc, pc, a, b, tag_a, tag_b, from_load, produces) = (
-            zip(*rows) if rows else ((),) * 9)
-
-        def col(values, dtype):
-            return np.fromiter(values, dtype, count=n)
-
-        return {
-            "cls": col(cls, np.int64),
-            "opc": col(opc, np.int64),
-            "pc": col(pc, np.int64),
-            "a": col(a, np.uint64),
-            "b": col(b, np.uint64),
-            "tag_a": col(tag_a, np.int8),
-            "tag_b": col(tag_b, np.int8),
-            "from_load": col(from_load, bool),
-            "produces": col(produces, bool),
-        }
+        self.values.extend((dyn.index, dyn.a_val, dyn.b_val,
+                            tag_code(dyn.tag_a), tag_code(dyn.tag_b),
+                            dyn.operand_from_load))

@@ -42,6 +42,12 @@ K_RET = 8
 K_NOP = 9
 K_HALT = 10
 
+# What commit does beyond counting a retirement (``CompiledProgram.retire``).
+R_PLAIN = 0
+R_LOAD = 1     # frees an LSQ slot
+R_STORE = 2    # frees an LSQ slot and writes the D-side
+R_HALT = 3     # ends the run
+
 _KIND_OF_OPCODE = {
     Opcode.BR: K_BR, Opcode.BSR: K_BSR, Opcode.JMP: K_JMP,
     Opcode.JSR: K_JSR, Opcode.RET: K_RET, Opcode.NOP: K_NOP,
@@ -57,14 +63,14 @@ class CompiledProgram:
 
     __slots__ = (
         "n", "base_pc", "entry",
-        "kind", "opcode", "opc_code", "op_class", "cls_code", "cls_value",
+        "kind", "opc_code", "cls_code", "cls_value",
         "ra31", "rb31", "rd31", "rd_w", "has_rb", "imm_u", "imm_tag",
         "target",
-        "srcs", "nsrc", "src0", "src1", "src2", "fn", "bfn",
+        "nsrc", "src0", "src1", "src2", "fn", "bfn",
         "dest", "mem_size", "is_mem", "is_load", "is_store",
         "is_branch", "is_conditional", "needs_mult", "measured",
-        "tracked", "produces", "packable", "replay_op", "is_ldl",
-        "frow", "drow", "crow", "irow",
+        "produces", "packable", "replay_op", "is_ldl",
+        "retire", "frow", "drow", "irow",
     )
 
     def __init__(self, program: Program) -> None:
@@ -75,9 +81,7 @@ class CompiledProgram:
         self.entry = program.entry
 
         self.kind = []
-        self.opcode = []          # Opcode enum (for compute())
         self.opc_code = []        # capture code
-        self.op_class = []        # OpClass enum
         self.cls_code = []        # capture code
         self.cls_value = []       # OpClass.value string (class mix keys)
         self.ra31 = []            # ra with None mapped to R31
@@ -88,8 +92,7 @@ class CompiledProgram:
         self.imm_u = []           # unsigned immediate (0 when absent)
         self.imm_tag = []         # width-tag code of the immediate operand
         self.target = []          # branch-target index (fall-through if None)
-        self.srcs = []            # src_regs() tuple
-        self.nsrc = []            # len(srcs), flattened for the hot loop
+        self.nsrc = []            # len(src_regs()), for the hot loop
         self.src0 = []            # srcs[0] (0 when absent)
         self.src1 = []            # srcs[1] (0 when absent)
         self.src2 = []            # srcs[2] (CMOV dest read; 0 when absent)
@@ -104,11 +107,11 @@ class CompiledProgram:
         self.is_conditional = []
         self.needs_mult = []
         self.measured = []        # sampled by the instruments at issue
-        self.tracked = []         # width-tracked (measured minus jumps)
         self.produces = []        # writes a result (static per opcode)
         self.packable = []        # class eligible for full packing
         self.replay_op = []       # opcode eligible for replay packing
         self.is_ldl = []          # LDL sign-extends its loaded word
+        self.retire = []          # R_* commit action
 
         from repro.stats.widths import WIDTH_TRACKED_CLASSES
 
@@ -126,9 +129,7 @@ class CompiledProgram:
             else:
                 kind = _KIND_OF_OPCODE[op]
             self.kind.append(kind)
-            self.opcode.append(op)
             self.opc_code.append(OPCODE_CODE[op])
-            self.op_class.append(cls)
             self.cls_code.append(CLASS_CODE[cls])
             self.cls_value.append(cls.value)
             self.ra31.append(inst.ra if inst.ra is not None else ZERO_REG)
@@ -144,7 +145,6 @@ class CompiledProgram:
             self.target.append(inst.target if inst.target is not None
                                else index + 1)
             srcs = inst.src_regs()
-            self.srcs.append(srcs)
             self.nsrc.append(len(srcs))
             self.src0.append(srcs[0] if srcs else 0)
             self.src1.append(srcs[1] if len(srcs) > 1 else 0)
@@ -159,14 +159,16 @@ class CompiledProgram:
             self.is_branch.append(inst.is_branch)
             self.is_conditional.append(op in CONDITIONAL_BRANCHES)
             self.needs_mult.append(cls is OpClass.INT_MULT)
-            tracked = cls in WIDTH_TRACKED_CLASSES
-            self.tracked.append(tracked)
-            self.measured.append(tracked or cls is OpClass.JUMP)
+            self.measured.append(cls in WIDTH_TRACKED_CLASSES
+                                 or cls is OpClass.JUMP)
             self.produces.append(
                 kind in (K_OPERATE, K_LOAD) or op in (Opcode.BSR, Opcode.JSR))
             self.packable.append(cls in PACKABLE_CLASSES)
             self.replay_op.append(op in REPLAY_OPS)
             self.is_ldl.append(op is Opcode.LDL)
+            self.retire.append(R_LOAD if inst.is_load else
+                               R_STORE if inst.is_store else
+                               R_HALT if kind == K_HALT else R_PLAIN)
 
         # Per-stage fused rows: every column a pipeline stage reads for
         # one instruction, bundled into a single tuple, so the hot loop
@@ -174,7 +176,6 @@ class CompiledProgram:
         # subscript per column.
         self.frow = []   # fetch operands (shape depends on kind)
         self.drow = []   # dispatch: deps, queues, producer bookkeeping
-        self.crow = []   # commit: retire bookkeeping
         self.irow = []   # issue: execute, capture and packing facts
         for i in range(len(insts)):
             kind = self.kind[i]
@@ -200,14 +201,10 @@ class CompiledProgram:
                               self.dest[i], self.nsrc[i], self.src0[i],
                               self.src1[i], self.src2[i],
                               self.mem_size[i]))
-            self.crow.append((self.kind[i], self.is_mem[i],
-                              self.is_store[i], self.cls_value[i],
-                              self.is_branch[i],
-                              self.is_conditional[i]))
             self.irow.append((self.needs_mult[i], self.is_load[i],
                               self.measured[i], self.cls_code[i],
-                              self.opc_code[i], self.produces[i],
-                              self.packable[i], self.replay_op[i]))
+                              self.opc_code[i], self.packable[i],
+                              self.replay_op[i]))
 
 
 def compile_program(program: Program) -> CompiledProgram:

@@ -7,35 +7,47 @@ optimized SimpleScalar-style for raw speed:
 * the static program is precompiled once into flat decode tables
   (:mod:`repro.fastsim.compile`) so the hot loop does integer list
   indexing instead of attribute/dataclass traffic;
-* a dynamic instruction is one plain Python list (``E_*`` field
-  indices below) instead of a ``DynInst`` + ``RUUEntry`` pair;
+* a dynamic instruction is one plain Python list of its 25 dynamic
+  fields (``E_*`` indices below) instead of a ``DynInst`` + ``RUUEntry``
+  pair; its PC, opcode and class stay in the decode tables under
+  ``E_CIDX`` (a measured instruction's PC is ``base_pc + 4 * cidx``);
 * width tags are small ints (:data:`~repro.bitwidth.tags.TAG_WIDE` /
-  ``TAG_NARROW33`` / ``TAG_NARROW16``) instead of ``WidthTag`` objects;
+  ``TAG_NARROW33`` / ``TAG_NARROW16``) instead of ``WidthTag`` objects,
+  kept by one rule: a register's tag is ``TAG_WIDE`` when it came from
+  a load and load zero-detect is off, and the width code of its value
+  otherwise;
 * the per-op instruments (histogram / fluctuation / power dicts) are
-  *not* updated in the loop — each measured operation appends one row
-  to a columnar :class:`~repro.fastsim.capture.TraceCapture`, and the
-  vectorized phase 2 (:mod:`repro.fastsim.replay`) rebuilds the
-  instruments from the columns afterwards;
+  *not* updated in the loop — each measured issue extends one flat
+  :class:`~repro.fastsim.capture.TraceCapture` list by six values, and
+  the vectorized phase 2 (:mod:`repro.fastsim.replay`) rebuilds the
+  instruments from it afterwards;
 * the whole cycle loop is one fused function (:meth:`FastMachine._loop`)
   with every hot structure bound to a local: statistics accumulate in
-  local ints flushed once at loop exit, and trace rows append through
-  pre-bound list methods;
+  local ints flushed once at loop exit, and commit counts retirements
+  per decode index, from which the class mix and branch counts are
+  derived at exit;
 * issue is wakeup-driven instead of scan-driven: each entry carries a
   count of still-incomplete producers (``E_NWAIT``) and each producer a
   list of waiting consumers (``E_CONS``); writeback decrements the
-  counters and pushes newly ready entries onto a seq-ordered heap, so
-  the issue stage touches only ready work — never the whole window.
-  This selects the identical issue set in the identical order as the
+  counters and pushes newly ready entries onto a heap of the entries
+  themselves (list order is their unique ``E_SEQ``), so the issue
+  stage touches only ready work — never the whole window.  This
+  selects the identical issue set in the identical order as the
   reference's age-order scan, because that scan skips every entry with
   an incomplete producer anyway;
-* consecutive accesses to the same cache block and page skip the
-  hierarchy walk: the previous access proved L1+TLB residency at MRU,
-  so the walk would return ``l1_latency`` and change nothing but
-  hit/dirty counters (cache *latencies*, and therefore cycles, are
-  unaffected; only ``CacheStats`` counters — which no
-  :class:`~repro.core.machine.RunResult` field reads — drift);
+* consecutive accesses to the same cache block skip the hierarchy
+  walk: the previous access proved L1+TLB residency at MRU, so the walk
+  would return ``l1_latency`` and change nothing but hit/dirty counters
+  (cache *latencies*, and therefore cycles, are unaffected; only
+  ``CacheStats`` counters — which no
+  :class:`~repro.core.machine.RunResult` field reads — drift).  A block
+  inside one page implies the page; when blocks can straddle pages
+  (the page size is not a multiple of the block size) the shortcut is
+  never taken;
 * the cycle loop and the fast-forward interpreter share one L1/TLB
   walk and one combining-predictor step, so warm-up runs at loop speed;
+  the warm-up classifies no result and sets the tags by the rule above
+  in one pass over the registers when it returns;
 * a fresh machine restores the warmed state that the last fast-forward
   of its program, count and front-end config pickled (:data:`_WARM`).
 
@@ -56,6 +68,7 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.asm.layout import PAGE_BYTES as _PAGE_BYTES
+from repro.bitwidth.tags import tag_code_of_value
 from repro.branch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.branch.predictors import (
     CombiningPredictor,
@@ -87,42 +100,40 @@ from repro.stats.counters import CoreStats
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 # Field indices into the per-instruction entry list (one flat list per
-# dynamic instruction, covering what DynInst + RUUEntry hold).  The
-# fused loop uses these *numerically* — keep the literal values in its
-# comments in sync.
-E_SEQ = 0       # dynamic sequence number
+# dynamic instruction, covering the dynamic half of DynInst + RUUEntry;
+# static facts stay in the decode tables under E_CIDX).  The fused loop
+# uses these *numerically* — keep the literal values in its comments in
+# sync.
+E_SEQ = 0       # dynamic sequence number (unique: orders the ready heap)
 E_CIDX = 1      # decode-table index (out-of-range clamped to sentinel)
-E_RAW = 2       # raw static index (drives PCs and fetch breaks)
-E_PC = 3        # simulated byte address
-E_NEXT = 4      # index the feed moved to next
-E_FETCH = 5     # cycle the instruction arrived from the I-cache
-E_DISP = 6      # dispatch cycle
-E_CONS = 7      # consumer entries awaiting this result (None when none)
-E_ISSUED = 8
-E_COMP = 9      # completed
-E_SQUASH = 10
-E_PACKED = 11
-E_RPACKED = 12  # speculatively packed with a wide operand
-E_RPEND = 13    # replay-trapped, awaiting full-width re-issue
-E_RREADY = 14   # cycle the replay re-issue becomes eligible
-E_NOPACK = 15   # excluded from packing (post-replay)
-E_A = 16        # first ALU operand (uint64)
-E_B = 17        # second ALU operand (uint64)
-E_TA = 18       # width-tag code of a
-E_TB = 19       # width-tag code of b
-E_FL = 20       # an operand came straight from a load
-E_RES = 21      # result value (None when no result)
-E_ADDR = 22     # effective memory address (None for non-mem)
-E_MIS = 23      # first wrong prediction on the good path
-E_SPEC = 24     # executed on the wrong path
-E_ROW = 25      # capture row of the latest measurement (-1: unmeasured)
-E_DEAD = 26     # retired or squashed (producer bookkeeping)
-E_NWAIT = 27    # count of still-incomplete producers (wakeup counter)
+E_FETCH = 2     # cycle the instruction arrived from the I-cache
+E_DISP = 3      # dispatch cycle
+E_CONS = 4      # consumer entries awaiting this result (None when none)
+E_ISSUED = 5
+E_COMP = 6      # completed
+E_SQUASH = 7
+E_PACKED = 8
+E_RPACKED = 9   # speculatively packed with a wide operand
+E_RPEND = 10    # replay-trapped, awaiting full-width re-issue
+E_RREADY = 11   # cycle the replay re-issue becomes eligible
+E_NOPACK = 12   # excluded from packing (post-replay)
+E_A = 13        # first ALU operand (uint64)
+E_B = 14        # second ALU operand (uint64)
+E_TA = 15       # width-tag code of a
+E_TB = 16       # width-tag code of b
+E_FL = 17       # an operand came straight from a load
+E_RES = 18      # result value (None when no result)
+E_ADDR = 19     # effective memory address (None for non-mem)
+E_MIS = 20      # first wrong prediction on the good path
+E_SPEC = 21     # executed on the wrong path
+E_ROW = 22      # capture row of the latest measurement (-1: unmeasured)
+E_DEAD = 23     # retired or squashed (producer bookkeeping)
+E_NWAIT = 24    # count of still-incomplete producers (wakeup counter)
 
 #: What a fast-forward changes; ``_spec_memory`` only wraps ``_memory``.
 _WARM_FIELDS = ("_regs", "_tags", "_from_load", "_memory", "_predictor",
                 "_btb", "_ras", "hierarchy", "_fetch_index", "_seq",
-                "_halted", "_iblk", "_ipage", "_dblk", "_dpage")
+                "_halted", "_iblk", "_dblk")
 
 #: Program name -> ``(program, key, pickled _WARM_FIELDS, executed)`` of
 #: the last fresh fast-forward (see :meth:`FastMachine.fast_forward`).
@@ -163,7 +174,7 @@ class FastMachine:
 
         # ---- timing state -------------------------------------------
         self._entries: deque = deque()    # in-flight window, age order
-        self._ready: list = []            # issue-ready heap of (seq, entry)
+        self._ready: list = []            # issue-ready heap of entries
         self._stores: list = []           # dispatched stores, age order
         self._producer: list = [None] * NUM_INT_REGS   # reg -> entry
         self._completions: dict = {}      # cycle -> [entry]
@@ -177,14 +188,20 @@ class FastMachine:
         # cross-check (every packed row must be a vectorized candidate)
         self._packed_rows: list = []
         self._replay_rows: list = []
+        self._retired = [0] * (self.cp.n + 1)   # commits per decode index
 
-        # ---- consecutive same-block/page access shortcut ------------
+        # ---- consecutive same-block access shortcut -----------------
         hcfg = config.hierarchy
         self._l1_lat = hcfg.l1_latency
         self._blk_bytes = hcfg.block_bytes
         self._page_bytes = self.hierarchy.itlb.page_bytes
-        self._iblk = self._ipage = -1
-        self._dblk = self._dpage = -1
+        # The walk latency that proves a block L1- and TLB-resident at
+        # MRU.  A block inside one page implies its page; a block that
+        # can straddle two never takes the shortcut (-1 matches no walk).
+        self._mru_lat = (hcfg.l1_latency
+                         if self._page_bytes % hcfg.block_bytes == 0 else -1)
+        self._iblk = -1
+        self._dblk = -1
 
     # --------------------------------------------------------------- run
 
@@ -219,11 +236,16 @@ class FastMachine:
 
     def _forward(self, instructions: int) -> int:
         """Fast mode behind :meth:`fast_forward`: control transfers train
-        the predictor, BTB and RAS, then follow the correct path.  Entered mid-speculation (``run(max_insts)``
-        and ``step()`` can stop there), it keeps the wrong-path rules
-        (overlay memory, no training) and stops at a HALT, as the
-        reference feed does.  State lives in locals, and the cache walks
-        and predictor step are :meth:`_loop`'s own.
+        the predictor, BTB and RAS, then follow the correct path.
+        Entered mid-speculation (``run(max_insts)`` and ``step()`` can
+        stop there), it keeps the wrong-path rules (overlay memory, no
+        training) and stops at a HALT, as the reference feed does.
+        State lives in locals, and the cache walks and predictor step are
+        :meth:`_loop`'s own.
+
+        Nothing here reads a width tag, so no result is classified: the
+        tags follow from ``regs`` and ``from_load`` by :meth:`_loop`'s
+        rule, and one pass over the registers sets them on return.
         """
         cp = self.cp
         cp_n = cp.n
@@ -247,13 +269,10 @@ class FastMachine:
         ras = self._ras
         btb = self._btb
         i_walk, d_walk = self._walks()
-        l1_lat = self._l1_lat
+        mru_lat = self._mru_lat
         blk_b = self._blk_bytes
-        page_b = self._page_bytes
         iblk = self._iblk
-        ipage = self._ipage
         dblk = self._dblk
-        dpage = self._dpage
         fetch_index = self._fetch_index
         halted = self._halted
         executed = 0
@@ -264,7 +283,6 @@ class FastMachine:
             pc = cp_base + raw * 4
             fetch_index = raw + 1
             addr = -1
-            rd = -1
             if kind == K_OPERATE:
                 ra, has_rb, rb, imm_u, _, fn, rd31, rd = cp_frow[cidx]
                 res = fn(regs[ra], regs[rb] if has_rb else imm_u,
@@ -287,9 +305,6 @@ class FastMachine:
                 if rd >= 0:
                     regs[rd] = res
                     fload[rd] = True
-                    if not detect_loads:
-                        tags[rd] = 0   # no zero-detect: width unknown
-                        rd = -1
             elif kind == K_COND:
                 ra, _, _, _, _, bfn, target = cp_frow[cidx]
                 taken = bfn(regs[ra])
@@ -323,44 +338,29 @@ class FastMachine:
                         ras.push(pc + 4)
                     rd = cp.rd_w[cidx]
                     if rd >= 0:
-                        res = regs[rd] = pc + 4
+                        regs[rd] = pc + 4
                         fload[rd] = False
-            if rd >= 0:   # classify the result width, as _loop does
-                high = res >> 16
-                if high == 0 or high == 0xFFFFFFFFFFFF:
-                    tags[rd] = 2
-                else:
-                    high = res >> 33
-                    tags[rd] = 1 if high == 0 or high == 0x7FFFFFFF else 0
             executed += 1
 
-            # Same-block/page shortcut: an L1 + TLB hit leaves both
-            # lines at MRU, so the next access there repeats it.
+            # Same-block shortcut: an L1 + TLB hit leaves both lines at
+            # MRU, so the next access to that block repeats it.
             blk = pc // blk_b
-            page = pc // page_b
-            if blk != iblk or page != ipage:
-                if i_walk(pc) == l1_lat:
-                    iblk = blk
-                    ipage = page
-                else:
-                    iblk = -1
+            if blk != iblk:
+                iblk = blk if i_walk(pc) == mru_lat else -1
             if addr >= 0:
                 blk = addr // blk_b
-                page = addr // page_b
-                if blk != dblk or page != dpage:
-                    if d_walk(addr, kind == K_STORE) == l1_lat:
-                        dblk = blk
-                        dpage = page
-                    else:
-                        dblk = -1
+                if blk != dblk:
+                    dblk = (blk if d_walk(addr, kind == K_STORE) == mru_lat
+                            else -1)
 
+        for r in range(31):   # R31 keeps its zero tag
+            tags[r] = (0 if fload[r] and not detect_loads
+                       else tag_code_of_value(regs[r]))
         self._fetch_index = fetch_index
         self._seq += executed
         self._halted = halted
         self._iblk = iblk
-        self._ipage = ipage
         self._dblk = dblk
-        self._dpage = dpage
         return executed
 
     def run(self, max_insts: int | None = None) -> RunResult:
@@ -372,8 +372,7 @@ class FastMachine:
         # cycles (entries reference only *older* entries; phase 2 builds
         # flat numpy columns); pausing the cyclic collector saves its
         # generation scans — otherwise the loop's deferred allocations
-        # (entry lists and capture rows) trigger a full collection
-        # right inside the column transpose.
+        # (entry lists) trigger a full collection right inside phase 2.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -566,40 +565,18 @@ class FastMachine:
         cp_n = cp.n
         cp_base = cp.base_pc
         cp_kind = cp.kind
-        cp_opcode = cp.opcode
-        cp_opc_code = cp.opc_code
-        cp_cls_code = cp.cls_code
         cp_cls_value = cp.cls_value
-        cp_ra31 = cp.ra31
         cp_rb31 = cp.rb31
-        cp_rd31 = cp.rd31
         cp_rd_w = cp.rd_w
-        cp_has_rb = cp.has_rb
-        cp_imm_u = cp.imm_u
-        cp_imm_tag = cp.imm_tag
         cp_target = cp.target
-        cp_srcs = cp.srcs
-        cp_nsrc = cp.nsrc
-        cp_src0 = cp.src0
-        cp_src1 = cp.src1
-        cp_fn = cp.fn
-        cp_bfn = cp.bfn
         cp_dest = cp.dest
         cp_mem_size = cp.mem_size
         cp_is_mem = cp.is_mem
-        cp_is_load = cp.is_load
-        cp_is_store = cp.is_store
         cp_is_branch = cp.is_branch
         cp_is_conditional = cp.is_conditional
-        cp_needs_mult = cp.needs_mult
-        cp_measured = cp.measured
-        cp_produces = cp.produces
-        cp_packable = cp.packable
-        cp_replay_op = cp.replay_op
-        cp_is_ldl = cp.is_ldl
+        cp_retire = cp.retire
         cp_frow = cp.frow
         cp_drow = cp.drow
-        cp_crow = cp.crow
         cp_irow = cp.irow
 
         # ---- machine parameters
@@ -649,15 +626,13 @@ class FastMachine:
         page_mask = _PAGE_BYTES - 1
         from_bytes = int.from_bytes
 
-        # ---- caches (latency walk + same-block/page shortcut)
+        # ---- caches (latency walk + same-block shortcut)
         i_walk, d_walk = self._walks()
         l1_lat = self._l1_lat
+        mru_lat = self._mru_lat
         blk_b = self._blk_bytes
-        page_b = self._page_bytes
         iblk = self._iblk
-        ipage = self._ipage
         dblk = self._dblk
-        dpage = self._dpage
 
         # ---- timing state
         entries = self._entries
@@ -680,105 +655,92 @@ class FastMachine:
 
         # ---- trace capture (phase-2 input)
         capture = self.capture
-        cap_row = capture.rows.append
-        nrows = len(capture.rows)
+        cap_extend = capture.values.extend
+        nrows = len(capture)
         prows_append = self._packed_rows.append
         rrows_append = self._replay_rows.append
 
         # ---- statistics deltas (flushed to self.stats on exit)
         stats = self.stats
-        committed = stats.committed
+        committed = committed_before = stats.committed
+        ccount = self._retired
         d_cycles = 0
-        d_fetched = 0
         d_dispatched = 0
         d_issued = 0
         d_completed = 0
-        d_branches = 0
-        d_cond = 0
         d_mispred = 0
         d_traps = 0
         d_pack_groups = 0
         d_packed_ops = 0
         d_rpacked_ops = 0
-        cmix: dict = {}
 
         while cycle < stop_cycle:
             if done or (target is not None and committed >= target):
                 break
 
             # ======================================================= commit
-            if nentries and entries[0][9]:               # head completed
+            if nentries and entries[0][6]:               # head completed
                 retired = 0
                 while retired < commit_width and nentries:
                     head = entries[0]
-                    if not head[9]:
+                    if not head[6]:
                         break
                     entries.popleft()
                     nentries -= 1
-                    head[26] = True                      # dead: retired
-                    kind, is_mem, is_store, value, is_br, is_cond = \
-                        cp_crow[head[1]]
-                    if is_mem:
-                        lsq -= 1
-                        if is_store:
-                            addr = head[22]
-                            if addr is not None:
-                                blk = addr // blk_b
-                                page = addr // page_b
-                                if blk != dblk or page != dpage:
-                                    lat = d_walk(addr, True)
-                                    if lat == l1_lat:
-                                        dblk = blk
-                                        dpage = page
-                                    else:
-                                        dblk = -1
-                    committed += 1
-                    cmix[value] = cmix.get(value, 0) + 1
-                    if is_br:
-                        d_branches += 1
-                        if is_cond:
-                            d_cond += 1
+                    head[23] = True                      # dead: retired
+                    cidx = head[1]
+                    ccount[cidx] += 1
                     retired += 1
-                    if kind == 10:                       # HALT
-                        done = True
-                        break
+                    action = cp_retire[cidx]
+                    if action:
+                        if action == 3:                  # R_HALT
+                            done = True
+                            break
+                        lsq -= 1                         # R_LOAD, R_STORE
+                        if action == 2 and head[19] is not None:
+                            addr = head[19]
+                            blk = addr // blk_b
+                            if blk != dblk:
+                                dblk = (blk if d_walk(addr, True) == mru_lat
+                                        else -1)
+                committed += retired
 
             # ==================================================== writeback
             completed_now = comp_pop(cycle, None)
             if completed_now:
                 for e in completed_now:
-                    if e[10]:                            # squashed
+                    if e[7]:                             # squashed
                         continue
-                    if e[12]:                            # replay-packed
-                        res = e[21]
+                    if e[9]:                             # replay-packed
+                        res = e[18]
                         if res is None:
                             res = 0
-                        wide = e[17] if e[18] == 2 else e[16]
+                        wide = e[14] if e[15] == 2 else e[13]
                         if (res >> 16) != (wide >> 16):
                             # Replay trap: squash the speculative packed
                             # execution and re-issue full width.
-                            e[8] = False
-                            e[12] = False
-                            e[15] = True
-                            e[13] = True
-                            e[14] = cycle + 1
+                            e[5] = False
+                            e[9] = False
+                            e[12] = True
+                            e[10] = True
+                            e[11] = cycle + 1
                             d_traps += 1
                             # back onto the ready heap (it left the heap
                             # when it issued, so no duplicate exists)
-                            heappush(ready, (e[0], e))
+                            heappush(ready, e)
                             continue
-                    e[9] = True                          # completed
+                    e[6] = True                          # completed
                     d_completed += 1
-                    cons = e[7]
+                    cons = e[4]
                     if cons is not None:
                         # wake consumers whose last producer this was
-                        e[7] = None
+                        e[4] = None
                         for c in cons:
-                            nw = c[27] - 1
-                            c[27] = nw
-                            if not nw and not c[10]:
-                                heappush(ready, (c[0], c))
-                    if e[23] and not e[24]:   # good-path mispredicted branch
+                            nw = c[24] - 1
+                            c[24] = nw
+                            if not nw and not c[7]:
+                                heappush(ready, c)
+                    if e[20] and not e[21]:   # good-path mispredicted branch
                         # ---------------------------------------- recovery
                         d_mispred += 1
                         bseq = e[0]
@@ -786,8 +748,8 @@ class FastMachine:
                         kept_append = kept.append
                         for x in entries:
                             if x[0] > bseq:
-                                x[10] = True             # squashed
-                                x[26] = True             # dead
+                                x[7] = True              # squashed
+                                x[23] = True             # dead
                                 if cp_is_mem[x[1]]:
                                     lsq -= 1
                             else:
@@ -808,7 +770,7 @@ class FastMachine:
                             if dest >= 0:
                                 producer[dest] = x
                         if stores:
-                            stores = [s for s in stores if not s[26]]
+                            stores = [s for s in stores if not s[23]]
                         # one cycle to restart fetch + Table 1's penalty
                         resume = cycle + 1 + mispredict_penalty
 
@@ -831,34 +793,33 @@ class FastMachine:
                     packs = None
                 aside = None
                 while ready:
-                    item = ready[0]
-                    e = item[1]
-                    if e[8] or e[10]:
+                    e = ready[0]
+                    if e[5] or e[7]:
                         heappop(ready)     # stale: issued or squashed
                         continue
                     if slots <= 0 and not (pack_on and packs):
                         break
-                    if e[6] >= cycle:
+                    if e[3] >= cycle:
                         break   # dispatched this cycle: issues later
                     heappop(ready)
-                    if e[13] and cycle < e[14]:
+                    if e[10] and cycle < e[11]:
                         # serving a replay re-issue window
                         if aside is None:
-                            aside = [item]
+                            aside = [e]
                         else:
-                            aside.append(item)
+                            aside.append(e)
                         continue
                     cidx = e[1]
                     (needs_mult, is_load, measured, ccode, ocode,
-                     produces, packable, replay_op) = cp_irow[cidx]
-                    if pack_on and not needs_mult and not e[13]:
+                     packable, replay_op) = cp_irow[cidx]
+                    if pack_on and not needs_mult and not e[10]:
                         # ---- try to join an open pack
                         key = ocode if pk_same_op else ccode
                         pack = packs_get(key)
                         if pack is not None and pack[0] > 0:
-                            ta = e[18]
-                            tb = e[19]
-                            no_pack = e[15]
+                            ta = e[15]
+                            tb = e[16]
+                            no_pack = e[12]
                             joined = False
                             is_replay = False
                             if (not no_pack and packable
@@ -877,25 +838,20 @@ class FastMachine:
                                 is_replay = True
                             if joined:
                                 # ---- start execution (packed)
+                                e[5] = True
                                 e[8] = True
-                                e[11] = True
-                                e[12] = is_replay
-                                e[13] = False
+                                e[9] = is_replay
+                                e[10] = False
                                 if needs_mult:
                                     lat = mult_latency
-                                elif is_load and e[22] is not None:
-                                    addr = e[22]
+                                elif is_load and e[19] is not None:
+                                    addr = e[19]
                                     blk = addr // blk_b
-                                    page = addr // page_b
-                                    if blk == dblk and page == dpage:
+                                    if blk == dblk:
                                         lat = alu_latency + l1_lat
                                     else:
                                         dl = d_walk(addr)
-                                        if dl == l1_lat:
-                                            dblk = blk
-                                            dpage = page
-                                        else:
-                                            dblk = -1
+                                        dblk = blk if dl == mru_lat else -1
                                         lat = alu_latency + dl
                                 else:
                                     lat = alu_latency
@@ -907,11 +863,10 @@ class FastMachine:
                                     lst.append(e)
                                 d_issued += 1
                                 if measured:
-                                    e[25] = nrows
+                                    e[22] = nrows
                                     nrows += 1
-                                    cap_row((ccode, ocode, e[3],
-                                             e[16], e[17], e[18], e[19],
-                                             e[20], produces))
+                                    cap_extend((cidx, e[13], e[14], e[15],
+                                                e[16], e[17]))
                                 # ---- pack statistics (pack 'happens'
                                 # once a second member joins)
                                 members = pack[3]
@@ -919,61 +874,56 @@ class FastMachine:
                                     d_pack_groups += 1
                                     d_packed_ops += 2
                                     leader = members[0]
-                                    leader[11] = True
-                                    prows_append(leader[25])
+                                    leader[8] = True
+                                    prows_append(leader[22])
                                     if pack[2]:   # wide leader goes spec
-                                        leader[12] = True
+                                        leader[9] = True
                                         d_rpacked_ops += 1
-                                        rrows_append(leader[25])
+                                        rrows_append(leader[22])
                                 else:
                                     d_packed_ops += 1
-                                prows_append(e[25])
-                                if e[12]:
+                                prows_append(e[22])
+                                if e[9]:
                                     d_rpacked_ops += 1
-                                    rrows_append(e[25])
+                                    rrows_append(e[22])
                                 continue
                     if slots <= 0:
                         if aside is None:
-                            aside = [item]
+                            aside = [e]
                         else:
-                            aside.append(item)
+                            aside.append(e)
                         continue
                     if needs_mult:
                         if mults <= 0:
                             if aside is None:
-                                aside = [item]
+                                aside = [e]
                             else:
-                                aside.append(item)
+                                aside.append(e)
                             continue
                         mults -= 1
                     else:
                         if alus <= 0:
                             if aside is None:
-                                aside = [item]
+                                aside = [e]
                             else:
-                                aside.append(item)
+                                aside.append(e)
                             continue
                         alus -= 1
                     slots -= 1
                     # ---- start execution (unpacked)
-                    e[8] = True
-                    e[12] = False
-                    e[13] = False
+                    e[5] = True
+                    e[9] = False
+                    e[10] = False
                     if needs_mult:
                         lat = mult_latency
-                    elif is_load and e[22] is not None:
-                        addr = e[22]
+                    elif is_load and e[19] is not None:
+                        addr = e[19]
                         blk = addr // blk_b
-                        page = addr // page_b
-                        if blk == dblk and page == dpage:
+                        if blk == dblk:
                             lat = alu_latency + l1_lat
                         else:
                             dl = d_walk(addr)
-                            if dl == l1_lat:
-                                dblk = blk
-                                dpage = page
-                            else:
-                                dblk = -1
+                            dblk = blk if dl == mru_lat else -1
                             lat = alu_latency + dl
                     else:
                         lat = alu_latency
@@ -985,16 +935,16 @@ class FastMachine:
                         lst.append(e)
                     d_issued += 1
                     if measured:
-                        e[25] = nrows
+                        e[22] = nrows
                         nrows += 1
-                        cap_row((ccode, ocode, e[3], e[16], e[17],
-                                 e[18], e[19], e[20], produces))
+                        cap_extend((cidx, e[13], e[14], e[15], e[16],
+                                    e[17]))
                     if pack_on and not needs_mult:
                         # ---- open a pack around this op (E_RPEND was
                         # cleared above, matching the reference order)
-                        ta = e[18]
-                        tb = e[19]
-                        no_pack = e[15]
+                        ta = e[15]
+                        tb = e[16]
+                        no_pack = e[12]
                         if (not no_pack and packable
                                 and ta == 2 and tb == 2):
                             packs[ocode if pk_same_op else ccode] = \
@@ -1005,15 +955,15 @@ class FastMachine:
                             packs[ocode if pk_same_op else ccode] = \
                                 [1, True, True, [e]]
                 if aside is not None:
-                    for item in aside:
-                        heappush(ready, item)
+                    for e in aside:
+                        heappush(ready, e)
 
             # ===================================================== dispatch
             if nfq:
                 dispatched = 0
                 while dispatched < decode_width and nfq:
                     e = fetchq[0]
-                    if e[5] >= cycle:
+                    if e[2] >= cycle:
                         break
                     (kind, is_mem, is_load, is_store, dest, nsrc,
                      src0, src1, src2, msize) = cp_drow[e[1]]
@@ -1021,7 +971,7 @@ class FastMachine:
                         break
                     fq_popleft()
                     nfq -= 1
-                    e[6] = cycle
+                    e[3] = cycle
                     # Register with each still-incomplete producer (reg
                     # + overlapping-store deps); completed producers are
                     # already satisfied, exactly as the reference's
@@ -1029,51 +979,51 @@ class FastMachine:
                     nw = 0
                     if nsrc:
                         p = producer[src0]
-                        if p is not None and not p[9]:
-                            if p[7] is None:
-                                p[7] = [e]
+                        if p is not None and not p[6]:
+                            if p[4] is None:
+                                p[4] = [e]
                             else:
-                                p[7].append(e)
+                                p[4].append(e)
                             nw += 1
                         if nsrc > 1:
                             p = producer[src1]
-                            if p is not None and not p[9]:
-                                if p[7] is None:
-                                    p[7] = [e]
+                            if p is not None and not p[6]:
+                                if p[4] is None:
+                                    p[4] = [e]
                                 else:
-                                    p[7].append(e)
+                                    p[4].append(e)
                                 nw += 1
                             if nsrc > 2:   # CMOV also reads its dest
                                 p = producer[src2]
-                                if p is not None and not p[9]:
-                                    if p[7] is None:
-                                        p[7] = [e]
+                                if p is not None and not p[6]:
+                                    if p[4] is None:
+                                        p[4] = [e]
                                     else:
-                                        p[7].append(e)
+                                        p[4].append(e)
                                     nw += 1
-                    if is_load and e[22] is not None:
-                        lo = e[22]
+                    if is_load and e[19] is not None:
+                        lo = e[19]
                         hi = lo + msize
                         if len(stores) > lsq_prune:
                             # prune dead stores (age order kept)
-                            stores = [s for s in stores if not s[26]]
+                            stores = [s for s in stores if not s[23]]
                         for s in stores:
-                            if s[26] or s[9]:
+                            if s[23] or s[6]:
                                 continue
-                            saddr = s[22]
+                            saddr = s[19]
                             if saddr < hi and lo < saddr + cp_mem_size[s[1]]:
-                                if s[7] is None:
-                                    s[7] = [e]
+                                if s[4] is None:
+                                    s[4] = [e]
                                 else:
-                                    s[7].append(e)
+                                    s[4].append(e)
                                 nw += 1
                     if kind == 9 or kind == 10:          # NOP / HALT
-                        e[8] = True
-                        e[9] = True
+                        e[5] = True
+                        e[6] = True
                     elif nw:
-                        e[27] = nw
+                        e[24] = nw
                     else:
-                        heappush(ready, (e[0], e))
+                        heappush(ready, e)
                     entries.append(e)
                     nentries += 1
                     if is_mem:
@@ -1082,8 +1032,8 @@ class FastMachine:
                             stores.append(e)
                     if dest >= 0:
                         producer[dest] = e
-                    d_dispatched += 1
                     dispatched += 1
+                d_dispatched += dispatched
 
             # ======================================================== fetch
             if cycle >= resume and cycle >= stall and not halted:
@@ -1097,16 +1047,11 @@ class FastMachine:
                     if kind == 10 and sp:
                         break   # wrong path fell off the program
                     pc = cp_base + raw * 4
-                    a = 0
-                    b = 0
-                    ta = 2
-                    tb = 2
-                    fl = False
-                    res = None
                     addr = None
                     mis = False
                     nxt = raw + 1
 
+                    # Every kind below sets a, b, ta, tb, fl and res.
                     if kind == 0:                        # OPERATE
                         (ra, has_rb, rb, imm_u, imm_tag, fn, rd31,
                          rd) = cp_frow[cidx]
@@ -1182,6 +1127,7 @@ class FastMachine:
                         else:
                             b = imm_u
                             tb = imm_tag
+                        res = None
                         taken = bfn(a)
                         actual = tgt if taken else raw + 1
                         pred = tgt if bp_step(pc, taken, not sp) else raw + 1
@@ -1203,14 +1149,22 @@ class FastMachine:
                         fl = rb != 31 and fload[rb]
                         b = imm_u
                         tb = imm_tag
+                        res = None
                         addr = (a + b) & 0xFFFFFFFFFFFFFFFF
                         if sp:
                             smem_store(addr, regs[ra], msize)
                         else:
                             mem_store(addr, regs[ra], msize)
                     elif kind == 9 or kind == 10:        # NOP / HALT
-                        pass
+                        a = b = 0
+                        ta = tb = 2
+                        fl = False
+                        res = None
                     elif kind == 4 or kind == 5:         # BR / BSR: direct
+                        a = b = 0
+                        ta = tb = 2
+                        fl = False
+                        res = None
                         if kind == 5:
                             return_pc = cp_base + (raw + 1) * 4
                             res = return_pc
@@ -1234,6 +1188,10 @@ class FastMachine:
                         target_pc = regs[rb]
                         a = target_pc
                         ta = tags[rb]
+                        b = 0
+                        tb = 2
+                        fl = False
+                        res = None
                         actual = (target_pc - cp_base) // 4
                         return_pc = cp_base + (raw + 1) * 4
                         if kind == 8:                    # RET
@@ -1274,31 +1232,24 @@ class FastMachine:
                     fetch_index = nxt
                     if kind == 10 and not sp:
                         halted = True
-                    e = [seq, cidx, raw, pc, nxt, cycle, -1, None, False,
-                         False, False, False, False, False, -1, False,
-                         a, b, ta, tb, fl, res, addr, mis, sp, -1, False,
-                         0]
+                    e = [seq, cidx, cycle, -1, None, False, False, False,
+                         False, False, False, -1, False, a, b, ta, tb, fl,
+                         res, addr, mis, sp, -1, False, 0]
                     seq += 1
                     # ---- I-side access with the same-block shortcut
                     blk = pc // blk_b
-                    page = pc // page_b
-                    if blk == iblk and page == ipage:
+                    if blk == iblk:
                         lat = l1_lat
                     else:
                         lat = i_walk(pc)
-                        if lat == l1_lat:
-                            iblk = blk
-                            ipage = page
-                        else:
-                            iblk = -1
-                    d_fetched += 1
+                        iblk = blk if lat == mru_lat else -1
                     fq_append(e)
                     nfq += 1
                     nfetched += 1
                     if lat > l1_lat:
                         # I-cache miss: arrival when the fill completes,
                         # and fetch stalls until then.
-                        e[5] = cycle + lat - 1
+                        e[2] = cycle + lat - 1
                         stall = cycle + lat - 1
                         break
                     if nxt != raw + 1:
@@ -1310,6 +1261,7 @@ class FastMachine:
             d_cycles += 1
 
         # ---- flush locals back to the instance -----------------------
+        stats.fetched += seq - self._seq   # each fetch took one seq number
         self._regs = regs
         self._tags = tags
         self._from_load = fload
@@ -1326,28 +1278,33 @@ class FastMachine:
         self._fetch_stall_until = stall
         self._fetch_resume = resume
         self._iblk = iblk
-        self._ipage = ipage
         self._dblk = dblk
-        self._dpage = dpage
         self.done = done
         stats.cycles += d_cycles
-        stats.fetched += d_fetched
         stats.dispatched += d_dispatched
         stats.issued += d_issued
         stats.completed += d_completed
-        stats.committed = committed
-        stats.branches_committed += d_branches
-        stats.cond_branches_committed += d_cond
         stats.mispredicts += d_mispred
         stats.replay_traps += d_traps
         stats.pack_groups += d_pack_groups
         stats.packed_ops += d_packed_ops
         stats.replay_packed_ops += d_rpacked_ops
-        if cmix:
-            mix = stats.class_mix
-            mix_get = mix.get
-            for key, count in cmix.items():
-                mix[key] = mix_get(key, 0) + count
+        if committed != committed_before:
+            # class mix and branch counts from the per-index commits
+            stats.committed = committed
+            mix: dict = {}
+            branches = cond = 0
+            for count, value, is_br, is_cond in zip(
+                    ccount, cp_cls_value, cp_is_branch, cp_is_conditional):
+                if count:
+                    mix[value] = mix.get(value, 0) + count
+                    if is_br:
+                        branches += count
+                        if is_cond:
+                            cond += count
+            stats.class_mix = mix
+            stats.branches_committed = branches
+            stats.cond_branches_committed = cond
 
     # ---------------------------------------------- architected access
 

@@ -2,7 +2,10 @@
 
 Rebuilds the reference machine's measurement instruments — the width
 histogram, the fluctuation tracker, and the power accountant — from a
-captured columnar trace using batch numpy over whole columns:
+captured trace using batch numpy over whole columns.  The capture's
+flat six-value rows become one ``(n, 6)`` array; the op class, opcode,
+PC and produces columns come from the compiled program's static tables,
+indexed by each row's instruction index:
 
 * operand-pair widths via :func:`repro.bitwidth.vector.pair_widths`;
 * gating decisions via :func:`repro.bitwidth.vector.gate_widths`;
@@ -26,7 +29,13 @@ from dataclasses import dataclass
 from repro.bitwidth.vector import gate_widths, pair_widths
 from repro.core.config import PackingConfig
 from repro.core.machine import RunResult
-from repro.fastsim.capture import CLASS_CODE, CLASS_ORDER, TraceCapture
+from repro.fastsim.capture import (
+    CLASS_CODE,
+    CLASS_ORDER,
+    ROW_VALUES,
+    TraceCapture,
+)
+from repro.fastsim.compile import CompiledProgram
 from repro.packing.pack import vector_pack_candidates
 from repro.power.accounting import PowerAccountant
 from repro.power.gating import GatingPolicy
@@ -43,12 +52,13 @@ class ReplayedMeasurements:
     accountant: PowerAccountant
 
 
-def replay_measurements(capture: TraceCapture, policy: GatingPolicy,
+def replay_measurements(capture: TraceCapture, program: CompiledProgram,
+                        policy: GatingPolicy,
                         packing: PackingConfig | None = None,
                         packed_rows=None,
                         replay_rows=None) -> ReplayedMeasurements:
-    """Replay a captured measurement stream through the vectorized
-    instrument twins.
+    """Replay a measurement stream captured from ``program`` through the
+    vectorized instrument twins.
 
     ``packing``/``packed_rows``/``replay_rows`` are optional: when the
     capturing run packed operations, pass its packing config and the
@@ -56,10 +66,13 @@ def replay_measurements(capture: TraceCapture, policy: GatingPolicy,
     """
     import numpy as np
 
-    cols = capture.columns()
-    cls = cols["cls"]
-    tag_a = cols["tag_a"]
-    tag_b = cols["tag_b"]
+    values = capture.values
+    trace = np.fromiter(values, np.uint64,
+                        count=len(values)).reshape(-1, ROW_VALUES)
+    cidx = trace[:, 0].astype(np.int64)
+    cls = np.array(program.cls_code, np.int64)[cidx]
+    tag_a = trace[:, 3].astype(np.int8)
+    tag_b = trace[:, 4].astype(np.int8)
 
     # Width-tracked subset (everything except jumps, which are captured
     # for power accounting only).
@@ -68,17 +81,18 @@ def replay_measurements(capture: TraceCapture, policy: GatingPolicy,
         tracked_lookup[CLASS_CODE[op_class]] = True
     tracked = tracked_lookup[cls]
 
-    pair = pair_widths(cols["a"], cols["b"])
-    widths = WidthHistogram.from_columns(cls[tracked], pair[tracked])
-    fluctuation = FluctuationTracker.from_columns(cols["pc"][tracked],
-                                                  pair[tracked])
+    pair = pair_widths(trace[:, 1], trace[:, 2])[tracked]
+    widths = WidthHistogram.from_columns(cls[tracked], pair)
+    fluctuation = FluctuationTracker.from_columns(
+        program.base_pc + 4 * cidx[tracked], pair)
     accountant = PowerAccountant.from_columns(
         policy, cls, CLASS_ORDER, gate_widths(policy, tag_a, tag_b),
-        cols["produces"], cols["from_load"])
+        np.array(program.produces, bool)[cidx], trace[:, 5].astype(bool))
 
     if packing is not None and packing.enabled and packed_rows:
-        full, replay = vector_pack_candidates(cls, cols["opc"], tag_a,
-                                              tag_b, packing)
+        opc = np.array(program.opc_code, np.int64)[cidx]
+        full, replay = vector_pack_candidates(cls, opc, tag_a, tag_b,
+                                              packing)
         eligible = full | replay
         rows = np.asarray(packed_rows, dtype=np.int64)
         if not bool(np.all(eligible[rows])):
@@ -103,7 +117,7 @@ def build_result(machine) -> RunResult:
     stats = machine.stats
     config = machine.config
     replayed = replay_measurements(
-        machine.capture, config.gating, packing=config.packing,
+        machine.capture, machine.cp, config.gating, packing=config.packing,
         packed_rows=machine._packed_rows, replay_rows=machine._replay_rows)
     power = (replayed.accountant.report(stats.cycles)
              if stats.cycles else None)

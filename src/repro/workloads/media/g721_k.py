@@ -126,9 +126,8 @@ def _decode(scale: int) -> Program:
     codes = asm.alloc("codes", _BUF_BYTES)
     pcm = asm.alloc("pcm_out", _SAMPLES * 2)
     out = asm.alloc("out", 16)
-    rng = Xorshift64(0xDEC721)
-    asm.data_bytes(codes, bytes(rng.next_below(16)
-                                for _ in range(_BUF_BYTES)))
+    asm.data_bytes(codes, bytes(Xorshift64(0xDEC721).draws_below(
+        16, _BUF_BYTES)))
 
     # Register map: s0 codes  s1 pcm out  s2 index  s3 predictor
     #   s4 step  s5 checksum

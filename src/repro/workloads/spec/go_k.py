@@ -22,9 +22,8 @@ _SIZE = 19
 
 
 def _board_bytes() -> bytes:
-    rng = Xorshift64(0x60B0A2D0)
     # 0 = empty, 1 = black, 2 = white; roughly mid-game density.
-    return bytes(rng.next_below(3) for _ in range(_SIZE * _SIZE))
+    return bytes(Xorshift64(0x60B0A2D0).draws_below(3, _SIZE * _SIZE))
 
 
 def build(scale: int = 1) -> Program:

@@ -10,7 +10,9 @@ Four layers, from leaf to whole-machine:
    (every counter, the width histogram, fluctuation, power) must be
    identical over a matrix of workloads and configurations, and the
    fast-forward warmup must leave the same state as the reference's
-   from any entry point, including mid-speculation and split calls;
+   from any entry point, including mid-speculation and split calls,
+   and every width tag must follow the one rule the warmup relies on,
+   cycle by cycle on both paths;
 3. the warm store: a fresh machine restores the state the last
    fast-forward of the same ``Program`` object stored under an equal
    key, the key holds every config field that changes that state, and
@@ -43,7 +45,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitwidth.tags import tag_code
+from repro.asm.assembler import Assembler
+from repro.asm.layout import PAGE_BYTES
+from repro.bitwidth.tags import TAG_WIDE, tag_code, tag_code_of_value
 from repro.core.config import (
     BASELINE,
     MachineConfig,
@@ -136,6 +140,35 @@ class TestBranchTable:
 
 WINDOW = 2_000     # keeps a full cross-check under ~100ms per cell
 
+#: 48-byte blocks: a page is no multiple of a block, so some blocks
+#: straddle two pages and the same-block shortcut must stay off (its
+#: block number alone no longer implies the page).  Cache sizes are
+#: multiples of assoc x 48.
+BLOCKS_48 = HierarchyConfig(l1i_size=512 * 2 * 48, l1d_size=512 * 2 * 48,
+                            l2_size=32768 * 4 * 48, block_bytes=48)
+
+
+def straddle_program():
+    """A loop that loads both halves of a 48-byte block split by a page
+    boundary, then a word on a third page."""
+    asm = Assembler("straddle")
+    buf = asm.alloc("buf", 4 * PAGE_BYTES)
+    first = buf - buf % PAGE_BYTES + PAGE_BYTES
+    edge = next(edge for edge in range(first, first + 3 * PAGE_BYTES,
+                                       PAGE_BYTES)
+                if edge % 48 >= 8)     # edge - 8 shares edge's block
+    asm.li("s0", edge)
+    asm.li("s1", edge + PAGE_BYTES + 64)
+    asm.li("a0", 20)
+    asm.label("loop")
+    asm.load("ldq", "t0", "s0", -8)    # the block's first page
+    asm.load("ldq", "t1", "s0", 0)     # the same block's second page
+    asm.load("ldq", "t2", "s1", 0)     # a third page
+    asm.op("subq", "a0", "a0", 1)
+    asm.br("bne", "a0", "loop")
+    asm.halt()
+    return asm.assemble()
+
 
 def run_pair(workload_name: str, config: MachineConfig,
              window: int = WINDOW) -> list[str]:
@@ -169,11 +202,31 @@ class TestFastMachineEquivalence:
         ("go", BASELINE.with_predictor("bimodal")),
         ("gcc", BASELINE.with_packing()),
         ("gcc", BASELINE.with_packing(replay=True)),
+        ("go", BASELINE.with_issue_width(8, 8)),
+        ("go", BASELINE.with_predictor("perfect")),
+        ("ijpeg", replace(BASELINE, hierarchy=BLOCKS_48)),
     ], ids=["packing", "packing-replay", "packing-loose",
             "no-detect", "bimodal-predictor", "packing-gcc",
-            "packing-replay-gcc"])
+            "packing-replay-gcc", "wide-issue", "perfect-predictor",
+            "48-byte-blocks"])
     def test_config_matrix(self, workload, config):
         assert run_pair(workload, config) == []
+
+    def test_blocks_that_straddle_pages_walk_every_access(self):
+        # The workloads almost never touch both halves of a straddling
+        # block back to back, so the matrix cell above cannot see a
+        # shortcut taken across a page boundary.  This loop does, every
+        # iteration: a shortcut there would skip the second page's TLB
+        # access and leave the TLB in another LRU order.
+        config = replace(BASELINE, hierarchy=BLOCKS_48)
+        reference = Machine(straddle_program(), config)
+        fast = FastMachine(straddle_program(), config)
+        for n in (1, 40):
+            assert fast.fast_forward(n) == reference.fast_forward(n)
+            assert warm_state(fast) == warm_state(reference), n
+        ref, out = (result_to_dict(m.run()) for m in (reference, fast))
+        assert dict_divergences(ref, out) == []
+        assert fast.hierarchy.dtlb._pages == reference.hierarchy.dtlb._pages
 
     def test_window_boundaries(self):
         # Equivalence must hold at odd cutoffs, not just round windows:
@@ -333,6 +386,55 @@ class TestFastForward:
             assert dict_divergences(expected, out) == []
 
 
+def tags_follow_the_rule(regs, tags, fload, detect_loads) -> bool:
+    """A register's tag is ``TAG_WIDE`` when it came from a load and
+    load zero-detect is off, and the width code of its value
+    otherwise."""
+    return all(tag == (TAG_WIDE if loaded and not detect_loads
+                       else tag_code_of_value(value))
+               for value, tag, loaded in zip(regs, tags, fload))
+
+
+class TestTagRule:
+    """The warm-up classifies no result: on return it sets every tag
+    from ``regs`` and ``from_load`` by the rule :meth:`_loop` keeps.
+    So the rule must hold after every cycle on either path, in the
+    checkpoint a recovery restores, and after a fast-forward entered
+    mid-speculation.  go and m88ksim both mispredict often."""
+
+    CYCLES = 3_000
+
+    @pytest.mark.parametrize("workload", ["go", "m88ksim"])
+    @pytest.mark.parametrize("config", [BASELINE, NO_DETECT],
+                             ids=["baseline", "no-detect"])
+    def test_rule_holds_every_cycle(self, workload, config):
+        detect = config.gating.detect_loads
+        w = get_workload(workload)
+        machine = FastMachine(w.builder(1), config)
+
+        def holds(state):
+            regs, tags, fload = state[:3]
+            return tags_follow_the_rule(regs, tags, fload, detect)
+
+        machine.fast_forward(resolve_warmup(w, 1))
+        assert holds((machine._regs, machine._tags, machine._from_load))
+        paths = set()
+        for cycle in range(self.CYCLES):
+            machine.step()
+            paths.add(machine._spec)
+            assert holds((machine._regs, machine._tags,
+                          machine._from_load)), cycle
+            if machine._checkpoint is not None:
+                assert holds(machine._checkpoint), cycle
+        assert paths == {False, True}    # both paths were checked
+
+        while not machine._spec:
+            machine.step()
+        machine.fast_forward(40)
+        assert holds((machine._regs, machine._tags, machine._from_load))
+        assert holds(machine._checkpoint)
+
+
 # ------------------------------------------------------------ warm store
 
 PACKING_REPLAY = BASELINE.with_packing(replay=True)
@@ -365,7 +467,7 @@ def forwarded(program, config, instructions) -> FastMachine:
 def shortcut(machine) -> list[int]:
     """The same-block shortcut registers, which ``warm_state`` leaves
     out because the reference machine has none."""
-    return [machine._iblk, machine._ipage, machine._dblk, machine._dpage]
+    return [machine._iblk, machine._dblk]
 
 
 class TestWarmStore:

@@ -25,6 +25,7 @@ from repro.core.config import BASELINE
 from repro.core.machine import Machine
 from repro.exec.serialize import dict_divergences, result_to_dict
 from repro.fastsim.capture import TraceCapture
+from repro.fastsim.compile import compile_program
 from repro.fastsim.machine import FastMachine
 from repro.fastsim.replay import replay_measurements
 from repro.power.gating import GatingPolicy
@@ -63,7 +64,8 @@ def test_captured_trace_replays_to_reference_instruments(
     machine.attach_capture(capture)
     result = machine.run(max_insts=window)
 
-    replayed = replay_measurements(capture, config.gating)
+    replayed = replay_measurements(capture, compile_program(machine.program),
+                                   config.gating)
     assert replayed.widths.as_dict() == result.widths.as_dict()
     assert (replayed.fluctuation.as_dict()
             == result.fluctuation.as_dict())

@@ -4,8 +4,12 @@ Each workload must (a) assemble, (b) run to completion functionally,
 with the architectural length count behind its warmup agreeing with
 the reference feed, (c) compute a verifiable result where a Python
 model exists, and (d) exhibit the qualitative profile the paper reports
-for its namesake.
+for its namesake.  The input generators, which step the PRNG inline,
+must draw exactly what the reference ``Xorshift64`` step draws, and
+every workload's program is pinned by a digest.
 """
+
+import hashlib
 
 import pytest
 
@@ -106,6 +110,52 @@ class TestRegistry:
         assert program == w.builder(1)
 
 
+def program_digest(program) -> str:
+    """sha256 over a program's entry, instructions and data image."""
+    h = hashlib.sha256()
+    h.update(repr((program.base_pc, program.entry)).encode())
+    for inst in program.instructions:
+        h.update(repr((inst.opcode.name, inst.ra, inst.rb, inst.rd,
+                       inst.imm, inst.target)).encode())
+    for addr, data in program.image:
+        h.update(repr((addr, len(data))).encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+#: ``program_digest(workload.builder(scale))`` per (workload, scale).
+PROGRAM_DIGESTS = {
+    ("compress", 1): "18470b93ac4520703dc191a971fb451d701479844181c32ab7249c045b57b2d1",
+    ("compress", 2): "4303afba10d73060c9041ce3a57118ac9e697940de75a2dff906830df8a2408d",
+    ("g721-decode", 1): "50ee9eb0c9a59ce8d0a9532eabe47f44b214bcb698d9088fd1a5a89d17906c1c",
+    ("g721-decode", 2): "a5975a3111c3551ff1ee8302b136df208d8768027c2d99f72ceb1b8234f1f52b",
+    ("g721-encode", 1): "1e68dc08726b085e9b51a4b20cbad7cfac6daaccf0eb7821dbeed8e12a3e0776",
+    ("g721-encode", 2): "ae26b13af9ed1c0251723752f8a06a4a314fa99b61e189ca6b58f71a3153bf92",
+    ("gcc", 1): "dbdafcbd3fbcd59b9e7395bc0ce4800436da38b8f744df58394ca709a84dea7b",
+    ("gcc", 2): "45966ad5302390ad04a17826db7fa1aa88f28ddafcf71c10539a5d92be6de1d8",
+    ("go", 1): "3a11240a98cf81fd4ea3204bdf3deeb90548e1676cacf01c7d02bb792c3b2421",
+    ("go", 2): "3493188368478a4c288d7876fd43bf87bf378ba67ba524a56e8a995dceb3fedb",
+    ("gsm-decode", 1): "f31ec1689cc48a47ea1470d2587f36b9701f3ccb405e638845b432d6e53491e0",
+    ("gsm-decode", 2): "4b6165fbaccde05f0a731d2dbe6f3dac6cbe83897c94af663f36d754b699fd50",
+    ("gsm-encode", 1): "5cb1c45ab48aba02046ef9c43764fa3d92d4fd74770a981461ff470e97c0ea83",
+    ("gsm-encode", 2): "33a300bab419dd2427f17c4dc7cc7f05094df20dd8024ade84d710578993f47f",
+    ("ijpeg", 1): "2723c6f8ba942d3f0b9abb269b1482161aa1bb989961b505d31a916a84912e50",
+    ("ijpeg", 2): "373dd8a98719f893e3c526354516a941025bbd596f77b4315a9b8b8af2e3c3e2",
+    ("m88ksim", 1): "d838cf1973390d5f28e335a8cfbcead8fa08d52bd8f00943c3ee8c86135c54a1",
+    ("m88ksim", 2): "4c0b399a232c1a93aebfd0ba5a9354efd0494d4b8d06e445efe3be1c7239cce7",
+    ("mpeg2-decode", 1): "50581c964b55e3116a5948c71fb87fb1e64d81b914b7c7c9c1d6f1e1f7f2dcee",
+    ("mpeg2-decode", 2): "6e06d9d379a18f0b755b33312a07cfe28e67d7483b273fd6a82176690518cce7",
+    ("mpeg2-encode", 1): "93fee82b8e09c082226f7f6e3cd94013c0ec34a7be7f330de292579fc0e97a95",
+    ("mpeg2-encode", 2): "86be590fee9d35eaee0a65c97f62c83da85c398e53f636fac0e0fe3d1c187ea4",
+    ("perl", 1): "d5afa90c21dfadced439c682f26dcc553ca0738dbfdaa2df9bfe7729445fd800",
+    ("perl", 2): "1a2387fbdc35ac2cfecba01eb90f9ff24f1daf2ec3c274ed01a71aae29517403",
+    ("vortex", 1): "3d93535a2976360ac2bf5faa52915c31baa2b9f1664aec306e452053a709a445",
+    ("vortex", 2): "ed7cda1def1970cd620453397c83968c125762883b33822342303a18ae8ea6ad",
+    ("xlisp", 1): "304fbcbbc89c182f7581df513f903d2eb7da36a3ad2189718cf575030e735eab",
+    ("xlisp", 2): "4373c154894dd275c00624ebcfda1069dfc0ada401e04bf3f283851fd86bd663",
+}
+
+
 @pytest.mark.parametrize("name", sorted(SPEC_NAMES | MEDIA_NAMES))
 class TestAllWorkloads:
     def test_builds_deterministically(self, name):
@@ -113,6 +163,13 @@ class TestAllWorkloads:
         p1, p2 = w.builder(1), w.builder(1)
         assert len(p1) == len(p2)
         assert p1.image == p2.image
+
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_program_matches_its_pinned_digest(self, name, scale):
+        # A generator or builder that drifts changes the simulated
+        # programs, and with them every published number.
+        program = get_workload(name).builder(scale)
+        assert program_digest(program) == PROGRAM_DIGESTS[name, scale]
 
     def test_runs_to_halt(self, name):
         feed = run_functional(name)
@@ -334,3 +391,83 @@ class TestDataGenerators:
         text = text_bytes(500)
         assert len(text) == 500
         assert all(b < 128 for b in text)
+
+
+# Value-by-value twins of the generators, on the reference step.
+
+def reference_audio(count: int, seed: int) -> list[int]:
+    rng = Xorshift64(seed)
+    samples = []
+    level = 0
+    for _ in range(count):
+        level += rng.next_below(257) - 128
+        level -= level // 8
+        level = max(-32768, min(32767, level))
+        samples.append(level)
+    return samples
+
+
+def reference_image(width: int, height: int, seed: int) -> bytes:
+    rng = Xorshift64(seed)
+    pixels = bytearray(width * height)
+    value = 128
+    for y in range(height):
+        for x in range(width):
+            value = max(0, min(255, value + rng.next_below(33) - 16))
+            pixels[y * width + x] = value
+    return bytes(pixels)
+
+
+def reference_text(count: int, seed: int) -> bytes:
+    rng = Xorshift64(seed)
+    alphabet = b"etaoinshrdlucmfwypvbgkjqxz     \n"
+    return bytes(alphabet[rng.next_below(len(alphabet))]
+                 for _ in range(count))
+
+
+SEEDS = (1, 42, 0x1234_5678, 0x9E37_79B9_7F4A_7C15, (1 << 64) - 1)
+
+
+class TestInlineDraws:
+    """The inline xorshift64* steps draw what ``next64``/``next_below``
+    draw, value by value."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, 10_000])
+    @pytest.mark.parametrize("bound", [1, 3, 16, 33, 257])
+    def test_bulk_draw_matches_next_below(self, seed, count, bound):
+        bulk, single = Xorshift64(seed), Xorshift64(seed)
+        assert (bulk.draws_below(bound, count)
+                == [single.next_below(bound) for _ in range(count)])
+        # and leaves the state where the single draws leave it
+        assert bulk.next64() == single.next64()
+
+    def test_bulk_draw_rejects_empty_bound(self):
+        with pytest.raises(ValueError):
+            Xorshift64(7).draws_below(0, 5)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, 10_000])
+    def test_audio_samples(self, seed, count):
+        assert audio_samples(count, seed) == reference_audio(count, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("width,height", [(0, 4), (1, 1), (100, 100),
+                                              (256, 3)])
+    def test_image_block(self, seed, width, height):
+        assert (image_block(width, height, seed)
+                == reference_image(width, height, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, 10_000])
+    def test_text_bytes(self, seed, count):
+        assert text_bytes(count, seed) == reference_text(count, seed)
+
+    @pytest.mark.parametrize("generator", [
+        lambda: audio_samples(4, seed=0),
+        lambda: image_block(2, 2, seed=0),
+        lambda: text_bytes(4, seed=0),
+    ], ids=["audio", "image", "text"])
+    def test_zero_seed_is_rejected(self, generator):
+        with pytest.raises(ValueError):
+            generator()
