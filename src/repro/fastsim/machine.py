@@ -7,7 +7,7 @@ optimized SimpleScalar-style for raw speed:
 * the static program is precompiled once into flat decode tables
   (:mod:`repro.fastsim.compile`) so the hot loop does integer list
   indexing instead of attribute/dataclass traffic;
-* a dynamic instruction is one plain Python list of its 25 dynamic
+* a dynamic instruction is one plain Python list of its 24 dynamic
   fields (``E_*`` indices below) instead of a ``DynInst`` + ``RUUEntry``
   pair; its PC, opcode and class stay in the decode tables under
   ``E_CIDX`` (a measured instruction's PC is ``base_pc + 4 * cidx``);
@@ -44,10 +44,16 @@ optimized SimpleScalar-style for raw speed:
   inside one page implies the page; when blocks can straddle pages
   (the page size is not a multiple of the block size) the shortcut is
   never taken;
-* the cycle loop and the fast-forward interpreter share one L1/TLB
-  walk and one combining-predictor step, so warm-up runs at loop speed;
-  the warm-up classifies no result and sets the tags by the rule above
-  in one pass over the registers when it returns;
+* the warm-up (:meth:`FastMachine._forward`) and the length count
+  (:func:`count_to_halt`) decode nothing per instruction: they call
+  generated straight-line runs (:mod:`repro.fastsim.runs`), one Python
+  function per run with the decode constants folded in, compiled once
+  per program and process;
+* the cycle loop, :meth:`FastMachine.step` and the warm-up share one
+  L1/TLB walk and one combining-predictor step, built once per
+  hierarchy and predictor; the warm-up classifies no result and sets
+  the tags by the rule above in one pass over the registers when it
+  returns;
 * a fresh machine restores the warmed state that the last fast-forward
   of its program, count and front-end config pickled (:data:`_WARM`).
 
@@ -79,25 +85,13 @@ from repro.core.config import BASELINE, MachineConfig
 from repro.core.machine import RunResult
 from repro.fastsim.capture import TraceCapture
 from repro.fastsim.replay import build_result
-from repro.fastsim.compile import (
-    K_BSR,
-    K_COND,
-    K_HALT,
-    K_JSR,
-    K_LOAD,
-    K_NOP,
-    K_OPERATE,
-    K_RET,
-    K_STORE,
-    compile_program,
-)
+from repro.fastsim.compile import compile_program
+from repro.fastsim.runs import COUNT_VARIANT, SPEC, WARM, bind, runs_of
 from repro.isa.instruction import Program
 from repro.isa.registers import NUM_INT_REGS
 from repro.memory.backing import MainMemory, SpeculativeMemory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats.counters import CoreStats
-
-_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
 # Field indices into the per-instruction entry list (one flat list per
 # dynamic instruction, covering the dynamic half of DynInst + RUUEntry;
@@ -112,7 +106,7 @@ E_CONS = 4      # consumer entries awaiting this result (None when none)
 E_ISSUED = 5
 E_COMP = 6      # completed
 E_SQUASH = 7
-E_PACKED = 8
+E_NWAIT = 8     # count of still-incomplete producers (wakeup counter)
 E_RPACKED = 9   # speculatively packed with a wide operand
 E_RPEND = 10    # replay-trapped, awaiting full-width re-issue
 E_RREADY = 11   # cycle the replay re-issue becomes eligible
@@ -128,7 +122,6 @@ E_MIS = 20      # first wrong prediction on the good path
 E_SPEC = 21     # executed on the wrong path
 E_ROW = 22      # capture row of the latest measurement (-1: unmeasured)
 E_DEAD = 23     # retired or squashed (producer bookkeeping)
-E_NWAIT = 24    # count of still-incomplete producers (wakeup counter)
 
 #: What a fast-forward changes; ``_spec_memory`` only wraps ``_memory``.
 _WARM_FIELDS = ("_regs", "_tags", "_from_load", "_memory", "_predictor",
@@ -202,6 +195,14 @@ class FastMachine:
                          if self._page_bytes % hcfg.block_bytes == 0 else -1)
         self._iblk = -1
         self._dblk = -1
+        self._share_steps()
+
+    def _share_steps(self) -> None:
+        """Build the walks and predictor step that :meth:`_loop`,
+        :meth:`step` and :meth:`_forward` share: once per hierarchy and
+        predictor, so at construction and after a warm-state restore."""
+        self._i_walk, self._d_walk = self._walks()
+        self._bp = self._bp_step()
 
     # --------------------------------------------------------------- run
 
@@ -227,6 +228,7 @@ class FastMachine:
             for name, value in zip(_WARM_FIELDS, pickle.loads(entry[2])):
                 setattr(self, name, value)
             self._spec_memory = SpeculativeMemory(self._memory)
+            self._share_steps()
             return entry[3]
         executed = self._forward(instructions)
         state = pickle.dumps([getattr(self, name) for name in _WARM_FIELDS],
@@ -240,127 +242,57 @@ class FastMachine:
         Entered mid-speculation (``run(max_insts)`` and ``step()`` can
         stop there), it keeps the wrong-path rules (overlay memory, no
         training) and stops at a HALT, as the reference feed does.
-        State lives in locals, and the cache walks and predictor step are
-        :meth:`_loop`'s own.
 
-        Nothing here reads a width tag, so no result is classified: the
-        tags follow from ``regs`` and ``from_load`` by :meth:`_loop`'s
-        rule, and one pass over the registers sets them on return.
+        Each step runs one generated run (:mod:`repro.fastsim.runs`)
+        bound to this machine's registers, memory, the walks and
+        predictor step :meth:`_loop` shares, the BTB and the RAS; a
+        warm-up that ends inside a run runs a copy capped at the
+        instructions left.  Nothing here reads a width tag, so no result
+        is classified: the tags follow from ``regs`` and ``from_load``
+        by :meth:`_loop`'s rule, and one pass over the registers sets
+        them on return.
         """
         cp = self.cp
-        cp_n = cp.n
-        cp_base = cp.base_pc
-        cp_kind = cp.kind
-        cp_frow = cp.frow
-        regs = self._regs
-        tags = self._tags
-        fload = self._from_load
-        detect_loads = self._detect_loads
         spec = self._spec
+        regs = self._regs
+        fload = self._from_load
         mem = self._spec_memory if spec else self._memory
-        mem_load = mem.load
-        mem_store = mem.store
-        pages_get = self._memory._pages.get
-        overlay = self._spec_memory._overlay
-        page_bytes = _PAGE_BYTES
-        page_mask = _PAGE_BYTES - 1
-        from_bytes = int.from_bytes
-        bp_step = self._bp_step()
-        ras = self._ras
+        shortcut = [self._iblk, self._dblk]
         btb = self._btb
-        i_walk, d_walk = self._walks()
-        mru_lat = self._mru_lat
-        blk_b = self._blk_bytes
-        iblk = self._iblk
-        dblk = self._dblk
-        fetch_index = self._fetch_index
+        ras = self._ras
+        variant = (SPEC if spec else WARM, self._blk_bytes, self._mru_lat)
+        defaults = (regs, fload, self._memory._pages.get, mem.store,
+                    mem.load, self._i_walk, self._d_walk, self._bp,
+                    btb.lookup, btb.update, ras.push, ras.pop, shortcut)
+        runs = runs_of(self.program)
+        bound: dict = {}
+        index = self._fetch_index
         halted = self._halted
         executed = 0
         while executed < instructions and not halted:
-            raw = fetch_index
-            cidx = raw if 0 <= raw < cp_n else cp_n
-            kind = cp_kind[cidx]
-            pc = cp_base + raw * 4
-            fetch_index = raw + 1
-            addr = -1
-            if kind == K_OPERATE:
-                ra, has_rb, rb, imm_u, _, fn, rd31, rd = cp_frow[cidx]
-                res = fn(regs[ra], regs[rb] if has_rb else imm_u,
-                         regs[rd31])
-                if rd >= 0:
-                    regs[rd] = res
-                    fload[rd] = False
-            elif kind == K_LOAD:
-                rb, imm_u, _, size, is_ldl, rd = cp_frow[cidx]
-                addr = (regs[rb] + imm_u) & _MASK64
-                off = addr & page_mask
-                if off + size <= page_bytes and not overlay:
-                    pg = pages_get(addr // page_bytes)   # as _loop reads
-                    res = (0 if pg is None else
-                           from_bytes(pg[off:off + size], "little"))
-                else:
-                    res = mem_load(addr, size)
-                if is_ldl and res & 0x80000000:
-                    res += 0xFFFFFFFF00000000
-                if rd >= 0:
-                    regs[rd] = res
-                    fload[rd] = True
-            elif kind == K_COND:
-                ra, _, _, _, _, bfn, target = cp_frow[cidx]
-                taken = bfn(regs[ra])
-                if taken:
-                    fetch_index = target
-                if not spec:   # a wrong-path branch never trains
-                    bp_step(pc, taken, True)
-            elif kind == K_STORE:
-                rb, imm_u, _, ra, size = cp_frow[cidx]
-                addr = (regs[rb] + imm_u) & _MASK64
-                mem_store(addr, regs[ra], size)
-            elif kind == K_HALT:
-                if spec:
-                    fetch_index = raw
-                    break   # the wrong path fell off the program
-                halted = True
-            elif kind != K_NOP:   # BR, BSR direct; JMP, JSR, RET indirect
-                if kind <= K_BSR:
-                    fetch_index = cp.target[cidx]
-                else:
-                    target_pc = regs[cp.rb31[cidx]]
-                    fetch_index = (target_pc - cp_base) // 4
-                    if kind != K_RET:
-                        btb.lookup(pc)
-                    elif not spec:
-                        ras.pop()
-                    if not spec:
-                        btb.update(pc, target_pc)
-                if kind == K_BSR or kind == K_JSR:
-                    if not spec:
-                        ras.push(pc + 4)
-                    rd = cp.rd_w[cidx]
-                    if rd >= 0:
-                        regs[rd] = pc + 4
-                        fload[rd] = False
-            executed += 1
+            entry = bound.get(index)
+            if entry is None:
+                entry = bound[index] = bind(runs, cp, variant, index, None,
+                                            defaults)
+            run, length, halts = entry
+            if length > instructions - executed:   # ends inside the run
+                run, length, halts = bind(runs, cp, variant, index,
+                                          instructions - executed, defaults)
+            index = run()
+            executed += length
+            if halts:
+                halted = not spec   # the wrong path stops before a HALT
+                break
 
-            # Same-block shortcut: an L1 + TLB hit leaves both lines at
-            # MRU, so the next access to that block repeats it.
-            blk = pc // blk_b
-            if blk != iblk:
-                iblk = blk if i_walk(pc) == mru_lat else -1
-            if addr >= 0:
-                blk = addr // blk_b
-                if blk != dblk:
-                    dblk = (blk if d_walk(addr, kind == K_STORE) == mru_lat
-                            else -1)
-
+        tags = self._tags
+        detect_loads = self._detect_loads
         for r in range(31):   # R31 keeps its zero tag
             tags[r] = (0 if fload[r] and not detect_loads
                        else tag_code_of_value(regs[r]))
-        self._fetch_index = fetch_index
+        self._fetch_index = index
         self._seq += executed
         self._halted = halted
-        self._iblk = iblk
-        self._dblk = dblk
+        self._iblk, self._dblk = shortcut
         return executed
 
     def run(self, max_insts: int | None = None) -> RunResult:
@@ -610,7 +542,7 @@ class FastMachine:
         checkpoint = self._checkpoint
         perfect = self._perfect
         detect_loads = self._detect_loads
-        bp_step = self._bp_step()
+        bp_step = self._bp
         ras_push = self._ras.push
         ras_pop = self._ras.pop
         btb_lookup = self._btb.lookup
@@ -627,7 +559,8 @@ class FastMachine:
         from_bytes = int.from_bytes
 
         # ---- caches (latency walk + same-block shortcut)
-        i_walk, d_walk = self._walks()
+        i_walk = self._i_walk
+        d_walk = self._d_walk
         l1_lat = self._l1_lat
         mru_lat = self._mru_lat
         blk_b = self._blk_bytes
@@ -736,8 +669,8 @@ class FastMachine:
                         # wake consumers whose last producer this was
                         e[4] = None
                         for c in cons:
-                            nw = c[24] - 1
-                            c[24] = nw
+                            nw = c[8] - 1
+                            c[8] = nw
                             if not nw and not c[7]:
                                 heappush(ready, c)
                     if e[20] and not e[21]:   # good-path mispredicted branch
@@ -839,7 +772,6 @@ class FastMachine:
                             if joined:
                                 # ---- start execution (packed)
                                 e[5] = True
-                                e[8] = True
                                 e[9] = is_replay
                                 e[10] = False
                                 if needs_mult:
@@ -874,7 +806,6 @@ class FastMachine:
                                     d_pack_groups += 1
                                     d_packed_ops += 2
                                     leader = members[0]
-                                    leader[8] = True
                                     prows_append(leader[22])
                                     if pack[2]:   # wide leader goes spec
                                         leader[9] = True
@@ -1021,7 +952,7 @@ class FastMachine:
                         e[5] = True
                         e[6] = True
                     elif nw:
-                        e[24] = nw
+                        e[8] = nw
                     else:
                         heappush(ready, e)
                     entries.append(e)
@@ -1233,8 +1164,8 @@ class FastMachine:
                     if kind == 10 and not sp:
                         halted = True
                     e = [seq, cidx, cycle, -1, None, False, False, False,
-                         False, False, False, -1, False, a, b, ta, tb, fl,
-                         res, addr, mis, sp, -1, False, 0]
+                         0, False, False, -1, False, a, b, ta, tb, fl,
+                         res, addr, mis, sp, -1, False]
                     seq += 1
                     # ---- I-side access with the same-block shortcut
                     blk = pc // blk_b
@@ -1318,54 +1249,29 @@ def count_to_halt(program: Program) -> int:
     :class:`~repro.core.feed.Feed` supplies, closing HALT included (the
     synthetic HALT row when control leaves the program).
 
-    An architectural interpreter over the decode rows: registers and
-    main memory only, on the correct path, with no width tags,
-    predictors, caches or per-instruction objects.  Like the feed, it
-    runs forever on a program that never halts.
+    Runs the program's generated COUNT runs (:mod:`repro.fastsim.runs`)
+    over registers and main memory only, on the correct path, with no
+    width tags, predictors, caches or per-instruction objects; the run
+    that ends on the HALT is counted, not executed.  An indirect jump
+    may land anywhere, so each run is compiled where control first
+    enters it.  Like the feed, it runs forever on a program that never
+    halts.
     """
     cp = compile_program(program)
-    cp_n = cp.n
-    cp_base = cp.base_pc
-    cp_kind = cp.kind
-    cp_frow = cp.frow
+    runs = runs_of(program)
     memory = MainMemory(program.image)
-    mem_load = memory.load
-    mem_store = memory.store
-    regs = [0] * NUM_INT_REGS
+    defaults = ([0] * NUM_INT_REGS, memory._pages.get, memory.store,
+                memory.load)
+    bound: dict = {}
     index = cp.entry
     count = 0
     while True:
-        cidx = index if 0 <= index < cp_n else cp_n
-        kind = cp_kind[cidx]
-        count += 1
-        nxt = index + 1
-        if kind == K_OPERATE:
-            ra, has_rb, rb, imm_u, _, fn, rd31, rd = cp_frow[cidx]
-            res = fn(regs[ra], regs[rb] if has_rb else imm_u, regs[rd31])
-            if rd >= 0:
-                regs[rd] = res
-        elif kind == K_LOAD:
-            rb, imm_u, _, size, is_ldl, rd = cp_frow[cidx]
-            res = mem_load((regs[rb] + imm_u) & _MASK64, size)
-            if is_ldl and res & 0x80000000:
-                res += 0xFFFFFFFF00000000
-            if rd >= 0:
-                regs[rd] = res
-        elif kind == K_COND:
-            ra, _, _, _, _, bfn, target = cp_frow[cidx]
-            if bfn(regs[ra]):
-                nxt = target
-        elif kind == K_STORE:
-            rb, imm_u, _, ra, size = cp_frow[cidx]
-            mem_store((regs[rb] + imm_u) & _MASK64, regs[ra], size)
-        elif kind == K_HALT:
+        entry = bound.get(index)
+        if entry is None:
+            entry = bound[index] = bind(runs, cp, COUNT_VARIANT, index,
+                                        None, defaults)
+        run, length, halts = entry
+        count += length
+        if halts:
             return count
-        elif kind != K_NOP:   # BR, BSR direct; JMP, JSR, RET indirect
-            if kind <= K_BSR:
-                nxt = cp.target[cidx]
-            else:
-                nxt = (regs[cp.rb31[cidx]] - cp_base) // 4
-            rd = cp.rd_w[cidx]
-            if (kind == K_BSR or kind == K_JSR) and rd >= 0:
-                regs[rd] = cp_base + (index + 1) * 4
-        index = nxt
+        index = run()

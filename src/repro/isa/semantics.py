@@ -4,6 +4,15 @@ All values are unsigned 64-bit integers (Python ints in ``[0, 2**64)``);
 signed behaviour is obtained through explicit two's-complement
 conversion, exactly as the paper assumes ("Numbers are expressed in
 two's complement form", Section 4.3).
+
+The semantics are stated twice, side by side: :func:`compute` and
+:func:`branch_taken` are the reference machine's if-chains, and
+:data:`COMPUTE_EXPRS` / :data:`BRANCH_EXPRS` are the fast backend's
+table of Python expressions.  That table is its only statement of
+them: the cycle loop calls it as :data:`COMPUTE_FNS` / :data:`BRANCH_FNS`,
+and the run compiler (:mod:`repro.fastsim.runs`) inlines it into
+generated code.  ``tests/test_fastsim.py`` checks the two statements
+agree on every opcode.
 """
 
 from __future__ import annotations
@@ -118,59 +127,91 @@ def compute(op: Opcode, a: int, b: int, old_dest: int = 0) -> int:
     raise ValueError(f"compute() does not handle opcode {op}")
 
 
-# Per-opcode dispatch table for the fast backend's hot loop: one small
-# callable per operate opcode, (a, b, old_dest) -> result, equivalent to
-# compute() without walking the if-chain.  tests/test_fastsim.py checks
-# the two agree on every opcode over randomized operands.
-COMPUTE_FNS = {
-    Opcode.ADDQ: lambda a, b, o: (a + b) & MASK64,
-    Opcode.LDA: lambda a, b, o: (a + b) & MASK64,
-    Opcode.SUBQ: lambda a, b, o: (a - b) & MASK64,
-    Opcode.ADDL: lambda a, b, o: _sext32(a + b),
-    Opcode.SUBL: lambda a, b, o: _sext32(a - b),
-    Opcode.S4ADDQ: lambda a, b, o: (4 * a + b) & MASK64,
-    Opcode.S8ADDQ: lambda a, b, o: (8 * a + b) & MASK64,
-    Opcode.LDAH: lambda a, b, o: (a + ((b << 16) & MASK64)) & MASK64,
-    Opcode.CMPEQ: lambda a, b, o: 1 if a == b else 0,
-    Opcode.CMPLT: lambda a, b, o: 1 if to_signed(a) < to_signed(b) else 0,
-    Opcode.CMPLE: lambda a, b, o: 1 if to_signed(a) <= to_signed(b) else 0,
-    Opcode.CMPULT: lambda a, b, o: 1 if a < b else 0,
-    Opcode.CMPULE: lambda a, b, o: 1 if a <= b else 0,
-    Opcode.MULQ: lambda a, b, o: (a * b) & MASK64,
-    Opcode.MULL: lambda a, b, o: _sext32(a * b),
-    Opcode.AND: lambda a, b, o: a & b,
-    Opcode.BIS: lambda a, b, o: a | b,
-    Opcode.XOR: lambda a, b, o: a ^ b,
-    Opcode.BIC: lambda a, b, o: a & ~b & MASK64,
-    Opcode.ORNOT: lambda a, b, o: (a | ~b) & MASK64,
-    Opcode.EQV: lambda a, b, o: (a ^ ~b) & MASK64,
-    Opcode.CMOVEQ: lambda a, b, o: b if a == 0 else o,
-    Opcode.CMOVNE: lambda a, b, o: b if a != 0 else o,
-    Opcode.ZAPNOT: lambda a, b, o: _zapnot(a, b),
-    Opcode.SLL: lambda a, b, o: (a << (b & 0x3F)) & MASK64,
-    Opcode.SRL: lambda a, b, o: a >> (b & 0x3F),
-    Opcode.SRA: lambda a, b, o: (to_signed(a) >> (b & 0x3F)) & MASK64,
-    Opcode.EXTBL: lambda a, b, o: (a >> (8 * (b & 0x7))) & 0xFF,
-    Opcode.EXTWL: lambda a, b, o: (a >> (8 * (b & 0x7))) & 0xFFFF,
-    Opcode.NOP: lambda a, b, o: 0,
+#: Operate semantics as Python expressions over ``{a}``, ``{b}`` and
+#: ``{o}`` (the old destination, read only by CMOV), all unsigned 64-bit:
+#: the fast backend's one statement of what :func:`compute` computes.
+#: :data:`COMPUTE_FNS` wraps each in a lambda, and the run compiler
+#: (:mod:`repro.fastsim.runs`) substitutes register reads and folded
+#: immediates for the placeholders.  Signed compares and shifts flip or
+#: subtract the sign bit instead of calling :func:`to_signed`.
+#: ``tests/test_fastsim.py`` checks every entry against :func:`compute`.
+COMPUTE_EXPRS: dict[Opcode, str] = {
+    Opcode.ADDQ: "({a} + {b}) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.LDA: "({a} + {b}) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.SUBQ: "({a} - {b}) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.ADDL: "(((({a} + {b}) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+                 " & 0xFFFFFFFFFFFFFFFF",
+    Opcode.SUBL: "(((({a} - {b}) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+                 " & 0xFFFFFFFFFFFFFFFF",
+    Opcode.S4ADDQ: "(4 * {a} + {b}) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.S8ADDQ: "(8 * {a} + {b}) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.LDAH: "({a} + ({b} << 16)) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.CMPEQ: "1 if {a} == {b} else 0",
+    Opcode.CMPLT: "1 if ({a} ^ 0x8000000000000000)"
+                  " < ({b} ^ 0x8000000000000000) else 0",
+    Opcode.CMPLE: "1 if ({a} ^ 0x8000000000000000)"
+                  " <= ({b} ^ 0x8000000000000000) else 0",
+    Opcode.CMPULT: "1 if {a} < {b} else 0",
+    Opcode.CMPULE: "1 if {a} <= {b} else 0",
+    Opcode.MULQ: "({a} * {b}) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.MULL: "(((({a} * {b}) & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000)"
+                 " & 0xFFFFFFFFFFFFFFFF",
+    Opcode.AND: "{a} & {b}",
+    Opcode.BIS: "{a} | {b}",
+    Opcode.XOR: "{a} ^ {b}",
+    Opcode.BIC: "{a} & ({b} ^ 0xFFFFFFFFFFFFFFFF)",
+    Opcode.ORNOT: "{a} | ({b} ^ 0xFFFFFFFFFFFFFFFF)",
+    Opcode.EQV: "{a} ^ {b} ^ 0xFFFFFFFFFFFFFFFF",
+    Opcode.CMOVEQ: "{b} if {a} == 0 else {o}",
+    Opcode.CMOVNE: "{b} if {a} != 0 else {o}",
+    Opcode.ZAPNOT: "{a} & ZAPNOT_MASKS[{b} & 0xFF]",
+    Opcode.SLL: "({a} << ({b} & 0x3F)) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.SRL: "{a} >> ({b} & 0x3F)",
+    Opcode.SRA: "((({a} ^ 0x8000000000000000) - 0x8000000000000000)"
+                " >> ({b} & 0x3F)) & 0xFFFFFFFFFFFFFFFF",
+    Opcode.EXTBL: "({a} >> (({b} & 0x7) * 8)) & 0xFF",
+    Opcode.EXTWL: "({a} >> (({b} & 0x7) * 8)) & 0xFFFF",
+    Opcode.NOP: "0",
 }
 
-
-# Branch-condition twin of COMPUTE_FNS: one callable per conditional
-# branch opcode, (a) -> taken, avoiding both the if-chain and the
-# unconditional to_signed conversion (sign tests reduce to bit tests on
-# the unsigned pattern).  Checked against branch_taken() by the same
-# differential test.
-BRANCH_FNS = {
-    Opcode.BEQ: lambda a: a == 0,
-    Opcode.BNE: lambda a: a != 0,
-    Opcode.BLT: lambda a: a >= SIGN_BIT,
-    Opcode.BLE: lambda a: a == 0 or a >= SIGN_BIT,
-    Opcode.BGT: lambda a: a != 0 and a < SIGN_BIT,
-    Opcode.BGE: lambda a: a < SIGN_BIT,
-    Opcode.BLBC: lambda a: (a & 1) == 0,
-    Opcode.BLBS: lambda a: (a & 1) == 1,
+#: Conditional-branch twin of :data:`COMPUTE_EXPRS`: each condition over
+#: ``{a}`` as a bool, with sign tests as bit tests on the unsigned
+#: pattern.  Checked against :func:`branch_taken` the same way.
+BRANCH_EXPRS: dict[Opcode, str] = {
+    Opcode.BEQ: "{a} == 0",
+    Opcode.BNE: "{a} != 0",
+    Opcode.BLT: "{a} >= 0x8000000000000000",
+    Opcode.BLE: "{a} == 0 or {a} >= 0x8000000000000000",
+    Opcode.BGT: "0 < {a} < 0x8000000000000000",
+    Opcode.BGE: "{a} < 0x8000000000000000",
+    Opcode.BLBC: "({a} & 1) == 0",
+    Opcode.BLBS: "({a} & 1) == 1",
 }
+
+#: ZAPNOT's byte masks, one per select pattern (bit ``i`` keeps byte
+#: ``i``), built by doubling: patterns with bit ``i`` set follow those
+#: without it, with byte ``i`` added.
+ZAPNOT_MASKS: tuple[int, ...] = (0,)
+for _byte in range(8):
+    ZAPNOT_MASKS += tuple(mask | 0xFF << 8 * _byte for mask in ZAPNOT_MASKS)
+
+
+def _lambdas(params: str, exprs: dict[Opcode, str]) -> dict:
+    """One lambda per table entry, compiled together in one pass."""
+    names = {name: name for name in params.split(", ")}
+    source = ", ".join(f"{op.name}: lambda {params}: "
+                       f"{expr.format(**names)}"
+                       for op, expr in exprs.items())
+    return eval(f"{{{source}}}",
+                {"ZAPNOT_MASKS": ZAPNOT_MASKS, **Opcode.__members__})
+
+
+#: :data:`COMPUTE_EXPRS` as callables ``(a, b, o) -> result``, the form the
+#: fast backend's cycle loop calls per operate.
+COMPUTE_FNS = _lambdas("a, b, o", COMPUTE_EXPRS)
+
+#: :data:`BRANCH_EXPRS` as callables ``(a) -> taken``.
+BRANCH_FNS = _lambdas("a", BRANCH_EXPRS)
 
 
 def branch_taken(op: Opcode, a: int) -> bool:

@@ -56,25 +56,6 @@ class Xorshift64:
         self._state = x
         return out
 
-    def bytes(self, count: int) -> bytes:
-        """``count`` pseudo-random bytes."""
-        out = bytearray()
-        while len(out) < count:
-            out += self.next64().to_bytes(8, "little")
-        return bytes(out[:count])
-
-    def words(self, count: int, bits: int = 16, signed: bool = False) -> list[int]:
-        """``count`` values of ``bits`` bits (two's-complement when
-        ``signed``, so audio-like samples are centred on zero)."""
-        values = []
-        span = 1 << bits
-        for _ in range(count):
-            value = self.next64() % span
-            if signed:
-                value -= span // 2
-            values.append(value)
-        return values
-
 
 def audio_samples(count: int, seed: int = 0xACED_5EED) -> list[int]:
     """16-bit signed samples with a smooth (speech-like) component so

@@ -2,7 +2,7 @@
 
 Four layers, from leaf to whole-machine:
 
-1. the per-opcode dispatch tables (``COMPUTE_FNS``/``BRANCH_FNS``)
+1. the per-opcode expression table, as ``COMPUTE_FNS``/``BRANCH_FNS``,
    against the reference ``compute()``/``branch_taken()`` if-chains,
    over edge-pattern operands and randomized 64-bit values;
 2. the :class:`~repro.fastsim.machine.FastMachine` against the
@@ -12,7 +12,11 @@ Four layers, from leaf to whole-machine:
    fast-forward warmup must leave the same state as the reference's
    from any entry point, including mid-speculation and split calls,
    and every width tag must follow the one rule the warmup relies on,
-   cycle by cycle on both paths;
+   cycle by cycle on both paths; the generated runs behind the warm-up
+   and the length count are checked on generated programs and on
+   hand-assembled ones (a jump into the middle of a run, accesses that
+   straddle a page), and compile once per process with no reference
+   cycle;
 3. the warm store: a fresh machine restores the state the last
    fast-forward of the same ``Program`` object stored under an equal
    key, the key holds every config field that changes that state, and
@@ -32,6 +36,7 @@ either machine allocates cache sets only as a run touches them.
 from __future__ import annotations
 
 import copy
+import gc
 import itertools
 import json
 import os
@@ -39,10 +44,11 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.asm.assembler import Assembler
@@ -54,13 +60,15 @@ from repro.core.config import (
     ObsConfig,
     PackingConfig,
 )
+from repro.core.feed import Feed
 from repro.core.machine import Machine
 from repro.exec import Job, RunContext, RunEngine, clear_memo
 from repro.exec.engine import BackendDivergence
 from repro.exec.serialize import dict_divergences, result_to_dict
 from repro.fastsim import cli as equivalence_cli
 from repro.fastsim import machine as fast_machine
-from repro.fastsim.machine import FastMachine
+from repro.fastsim import runs
+from repro.fastsim.machine import FastMachine, count_to_halt
 from repro.isa.opcodes import Opcode
 from repro.isa.semantics import (
     BRANCH_FNS,
@@ -77,6 +85,7 @@ from repro.workloads.registry import (
     get_workload,
     resolve_warmup,
 )
+from tests.test_properties import build_program, op_strategy
 
 u64 = st.integers(min_value=0, max_value=MASK64)
 
@@ -267,14 +276,54 @@ class TestSetUp:
         assert peak < 1 << 20
 
 
+class TestSharedSteps:
+    """The walks and the predictor step are built once per hierarchy
+    and predictor: at construction and after a warm-state restore, never
+    per cycle."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        for name in ("_walks", "_bp_step"):
+            def counted(self, _inner=getattr(FastMachine, name),
+                        _name=name):
+                calls.append(_name)
+                return _inner(self)
+            monkeypatch.setattr(FastMachine, name, counted)
+        return calls
+
+    def test_stepping_builds_them_once(self, builds, monkeypatch):
+        monkeypatch.setattr(fast_machine, "_WARM", {})
+        w = get_workload("go")
+        machine = FastMachine(w.builder(1), BASELINE)
+        machine.fast_forward(resolve_warmup(w, 1))
+        for _ in range(100):
+            machine.step()
+        assert machine.stats.committed
+        assert sorted(builds) == ["_bp_step", "_walks"]
+
+    def test_restore_rebuilds_them_over_the_restored_state(
+            self, builds, monkeypatch):
+        monkeypatch.setattr(fast_machine, "_WARM", {})
+        w = get_workload("go")
+        program = w.builder(1)
+        n = resolve_warmup(w, 1)
+        FastMachine(program, BASELINE).fast_forward(n)
+        restored = FastMachine(program, BASELINE)
+        builds.clear()
+        restored.fast_forward(n)
+        assert sorted(builds) == ["_bp_step", "_walks"]
+        assert restored._i_walk.__defaults__[-1] == \
+            restored.hierarchy.fetch_instruction
+
+
 # ---------------------------------------------------------------- warmup
 
 def _fields(obj):
     """Plain-data view of a predictor, BTB or RAS: its tables,
-    histories and pointers.  Left out are the stats counters, which both
-    fast-backend interpreters skip for the combining predictor by
-    design, and its ``_last``, a scratch value passed from predict() to
-    update()."""
+    histories and pointers.  Left out are the stats counters, which the
+    fast backend skips for the combining predictor by design, and its
+    ``_last``, a scratch value passed from predict() to update()."""
     if isinstance(obj, (list, tuple)):
         return [_fields(item) for item in obj]
     if not hasattr(obj, "__dict__") and not hasattr(obj, "__slots__"):
@@ -435,6 +484,179 @@ class TestTagRule:
         assert holds(machine._checkpoint)
 
 
+# ---------------------------------------------------------- generated runs
+
+def feed_count(program) -> int:
+    """Instructions a fast-mode reference feed supplies, HALT included."""
+    feed = Feed(program, BASELINE)
+    feed.fast_mode = True
+    count = 0
+    while feed.next() is not None:
+        count += 1
+    return count
+
+
+def first_run_length(program) -> int:
+    """Instructions from the entry through its first control transfer
+    or HALT: the first run the warm-up executes."""
+    for length, inst in enumerate(program.instructions[program.entry:], 1):
+        if inst.is_branch or inst.opcode is Opcode.HALT:
+            return length
+    return len(program) - program.entry + 1   # the synthetic HALT
+
+
+def assert_forward_matches(build, n, words=()):
+    """``fast_forward(n)`` on a fresh program from ``build`` against
+    the reference: the count, the warmed state and the memory words at
+    ``words``."""
+    reference = Machine(build(), BASELINE)
+    fast = FastMachine(build(), BASELINE)
+    assert fast.fast_forward(n) == reference.fast_forward(n), n
+    assert warm_state(fast) == warm_state(reference), n
+    for addr in words:
+        assert (fast._memory.load(addr, 8)
+                == reference.feed.memory.load(addr, 8)), (n, hex(addr))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(op_strategy, min_size=1, max_size=30),
+       seeds=st.lists(u64, min_size=10, max_size=10),
+       loops=st.sampled_from([0, 1, 3]), data=st.data())
+def test_generated_programs_count_and_warm_like_the_reference(
+        ops, seeds, loops, data):
+    # Straight-line code is one run to the HALT; a loop adds a run that
+    # starts at the loop head, inside the entry run.  The cuts end
+    # inside some run and exactly at the end of the first.
+    program, buf = build_program(ops, seeds, loops)
+    length = count_to_halt(program)
+    assert length == feed_count(program)
+    first = first_run_length(program)
+    inside = data.draw(st.integers(min_value=1, max_value=length))
+    words = [buf + 8 * i for i in range(8)]
+    for n in (inside, first):
+        assert_forward_matches(lambda: build_program(ops, seeds, loops)[0],
+                               n, words)
+
+
+def jump_into_run():
+    """A loop whose body is also entered mid-run by an indirect jump:
+    after three iterations, JMP lands on the body's third instruction
+    and the loop runs twice more from there."""
+    asm = Assembler("jump-into-run")
+    asm.li("a0", 3)
+    asm.li("a1", 0)
+    asm.label("top")
+    asm.op("addq", "t0", "t0", 1)
+    asm.op("addq", "t1", "t1", 2)
+    middle = asm.here()
+    asm.op("addq", "t2", "t2", 3)
+    asm.op("subq", "a0", "a0", 1)
+    asm.br("bne", "a0", "top")
+    asm.br("bne", "a1", "done")
+    asm.li("a1", 1)
+    asm.li("a0", 2)
+    asm.li("t12", asm.base_pc + 4 * middle)
+    asm.jmp("t12")
+    asm.label("done")
+    asm.halt()
+    return asm.assemble()
+
+
+def straddling_access():
+    """A load and a store that straddle a page boundary, each feeding a
+    loop count from its bytes on the far page: a straddling access that
+    read or wrote one page only would change the count."""
+    asm = Assembler("straddling-access")
+    buf = asm.alloc("buf", 3 * PAGE_BYTES)
+    edge = buf - buf % PAGE_BYTES + 2 * PAGE_BYTES
+    asm.data_words(edge - 4, [3 << 32])
+    asm.li("s0", edge - 4)
+    asm.load("ldq", "t0", "s0", 0)     # edge-4 .. edge+3
+    asm.op("srl", "t0", "t0", 32)
+    asm.label("first")
+    asm.op("subq", "t0", "t0", 1)
+    asm.br("bgt", "t0", "first")
+    asm.li("t1", (5 << 32) | 7)
+    asm.store("stq", "t1", "s0", 2)    # edge-2 .. edge+5
+    asm.load("ldq", "t2", "s0", 2)
+    asm.op("srl", "t2", "t2", 32)
+    asm.label("second")
+    asm.op("subq", "t2", "t2", 1)
+    asm.br("bgt", "t2", "second")
+    asm.halt()
+    return asm.assemble(), edge
+
+
+class TestGeneratedRuns:
+    """The length count and the warm-up run generated straight-line
+    code (:mod:`repro.fastsim.runs`); these programs reach the cases
+    the workloads barely touch."""
+
+    def test_indirect_jump_into_the_middle_of_a_run(self):
+        program = jump_into_run()
+        length = count_to_halt(program)
+        assert length == feed_count(program)
+        for n in range(length + 2):        # most cuts end mid-run
+            assert_forward_matches(jump_into_run, n)
+
+    def test_access_that_straddles_a_page(self):
+        program, edge = straddling_access()
+        length = count_to_halt(program)
+        assert length == feed_count(program)
+        words = (edge - 8, edge)
+        for n in range(length + 2):        # most cuts end mid-run
+            assert_forward_matches(lambda: straddling_access()[0], n, words)
+
+    def test_runs_compile_once_per_process(self, monkeypatch):
+        # A second machine on the same program binds the runs the first
+        # compiled; an equal program built again regenerates their
+        # sources and finds every one compiled.
+        compiled, generated = [], []
+        compile_source, source_of = runs._compile, runs.run_source
+        monkeypatch.setattr(runs, "_CODE", {})
+        monkeypatch.setattr(fast_machine, "_WARM", {})
+        monkeypatch.setattr(runs, "_compile", lambda source: (
+            compiled.append(source), compile_source(source))[1])
+        monkeypatch.setattr(runs, "run_source", lambda *args: (
+            generated.append(args), source_of(*args))[1])
+        w = get_workload("go")
+        n = resolve_warmup(w, 1)
+
+        def warm_and_count(program):
+            FastMachine(program, BASELINE).fast_forward(n)
+            fast_machine._WARM.clear()
+            count_to_halt(program)
+
+        program = w.builder(1)
+        warm_and_count(program)
+        assert compiled and len(compiled) == len(generated)
+        compiled.clear()
+        generated.clear()
+        warm_and_count(program)
+        assert compiled == generated == []
+        warm_and_count(w.builder(1))
+        assert generated and compiled == []
+
+    def test_dropped_machine_frees_its_hierarchy(self, monkeypatch):
+        # Generated functions share one globals dict that holds none of
+        # them, so no reference cycle keeps a finished machine's caches
+        # alive until a collection.
+        monkeypatch.setattr(fast_machine, "_WARM", {})
+        w = get_workload("go")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            machine = FastMachine(w.builder(1), BASELINE)
+            machine.fast_forward(resolve_warmup(w, 1))
+            hierarchy = weakref.ref(machine.hierarchy)
+            del machine
+            assert hierarchy() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+
 # ------------------------------------------------------------ warm store
 
 PACKING_REPLAY = BASELINE.with_packing(replay=True)
@@ -551,11 +773,14 @@ class TestWarmStore:
         assert run_pair("compress", PACKING_REPLAY) == []
         assert len(forwards) == 1
 
-    def test_threads_see_the_sequential_states(self, forwards):
+    def test_threads_see_the_sequential_states(self, forwards,
+                                               monkeypatch):
         # More threads than cores warm go and gcc under three configs
         # in rotated orders, with the interpreter switching threads
         # every microsecond: a restore that read a half-stored entry,
         # or shared an object with another machine, breaks equality.
+        # The generated runs start uncompiled, so the threads also fill
+        # the shared run tables together.
         cells = [(name, config) for name in ("go", "gcc")
                  for config in (BASELINE, PACKING_REPLAY, NO_DETECT)]
         warmups = {name: resolve_warmup(get_workload(name), 1)
@@ -567,6 +792,8 @@ class TestWarmStore:
                                 warmups[name])
             expected[name, config] = warm_state(machine)
         fast_machine._WARM.clear()
+        monkeypatch.setattr(runs, "_CODE", {})
+        monkeypatch.setattr(runs, "_TABLES", {})
         results = []
         errors = []
 
