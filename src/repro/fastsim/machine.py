@@ -86,7 +86,7 @@ from repro.core.machine import RunResult
 from repro.fastsim.capture import TraceCapture
 from repro.fastsim.replay import build_result
 from repro.fastsim.compile import compile_program
-from repro.fastsim.runs import COUNT_VARIANT, SPEC, WARM, bind, runs_of
+from repro.fastsim.runs import COUNT_VARIANT, SPEC, WARM, bind
 from repro.isa.instruction import Program
 from repro.isa.registers import NUM_INT_REGS
 from repro.memory.backing import MainMemory, SpeculativeMemory
@@ -264,7 +264,6 @@ class FastMachine:
         defaults = (regs, fload, self._memory._pages.get, mem.store,
                     mem.load, self._i_walk, self._d_walk, self._bp,
                     btb.lookup, btb.update, ras.push, ras.pop, shortcut)
-        runs = runs_of(self.program)
         bound: dict = {}
         index = self._fetch_index
         halted = self._halted
@@ -272,11 +271,11 @@ class FastMachine:
         while executed < instructions and not halted:
             entry = bound.get(index)
             if entry is None:
-                entry = bound[index] = bind(runs, cp, variant, index, None,
+                entry = bound[index] = bind(cp, variant, index, None,
                                             defaults)
             run, length, halts = entry
             if length > instructions - executed:   # ends inside the run
-                run, length, halts = bind(runs, cp, variant, index,
+                run, length, halts = bind(cp, variant, index,
                                           instructions - executed, defaults)
             index = run()
             executed += length
@@ -1258,7 +1257,6 @@ def count_to_halt(program: Program) -> int:
     halts.
     """
     cp = compile_program(program)
-    runs = runs_of(program)
     memory = MainMemory(program.image)
     defaults = ([0] * NUM_INT_REGS, memory._pages.get, memory.store,
                 memory.load)
@@ -1268,8 +1266,8 @@ def count_to_halt(program: Program) -> int:
     while True:
         entry = bound.get(index)
         if entry is None:
-            entry = bound[index] = bind(runs, cp, COUNT_VARIANT, index,
-                                        None, defaults)
+            entry = bound[index] = bind(cp, COUNT_VARIANT, index, None,
+                                        defaults)
         run, length, halts = entry
         count += length
         if halts:

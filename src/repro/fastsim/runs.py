@@ -35,15 +35,16 @@ index of the next run.  It comes in three variants:
 Per-machine objects (registers, memory, walks, predictor step, BTB and
 RAS) are the function's parameter defaults, bound by :func:`bind` with
 ``types.FunctionType``, so binding a run never recompiles it.  Code
-objects are cached twice, per process: per program (:func:`runs_of`),
-and per digest of the source text (:data:`_CODE`), which keeps them
-across rebuilds of an equal program.  Both caches store whole immutable
+objects are cached per process by a digest of the source text
+(:data:`_CODE`), so a run is compiled once and kept across rebuilds of
+an equal program; the cache starts over past :data:`_CODE_LIMIT`
 entries.  The generated functions share one constant globals dict that
 never holds them, so a finished machine's objects are freed by
 reference counting alone.
 
 To read a run's code, print ``run_source(compile_program(program),
-WARM_VARIANT, start)[0]``.
+COUNT_VARIANT, start)[0]``, or for a machine's warm-up
+``run_source(m.cp, (WARM, m._blk_bytes, m._mru_lat), start)[0]``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from repro.fastsim.compile import (
     K_STORE,
     CompiledProgram,
 )
-from repro.isa.instruction import Program
 from repro.isa.semantics import BRANCH_EXPRS, COMPUTE_EXPRS, ZAPNOT_MASKS
 
 #: Variant modes (see the module docstring).
@@ -77,8 +77,6 @@ SPEC = "spec"
 
 #: A variant is ``(mode, block_bytes, mru)``; the count needs no walks.
 COUNT_VARIANT = (COUNT, 0, 0)
-#: Table 1's warm-up variant (32-byte blocks, 1-cycle L1), for reading.
-WARM_VARIANT = (WARM, 32, 1)
 
 _PARAMS = {COUNT: "r, pg, st, ld",
            WARM: "r, fl, pg, st, ld, iw, dw, bp, bl, bu, rpush, rpop, sb"}
@@ -89,13 +87,14 @@ _PARAMS[SPEC] = _PARAMS[WARM]
 _GLOBALS = {"fb": int.from_bytes, "ZAPNOT_MASKS": ZAPNOT_MASKS}
 
 #: Digest of a run's source text -> code object of its ``run`` function.
+#: Threads only get and set whole entries.
 _CODE: dict[bytes, CodeType] = {}
 
-#: Program name -> ``(program, runs)`` of the last program run under that
-#: name, where ``runs`` maps ``(variant, start, cap)`` to a run's
-#: ``(code, length, halts)``.  Module-level like ``registry._PROGRAMS``;
-#: threads only get and set whole tuples.
-_TABLES: dict[str, tuple[Program, dict]] = {}
+#: Most entries :data:`_CODE` holds before it starts over (about 2.7 KB
+#: of marshalled code each).  The 14 workloads' counts and Table 1
+#: warm-ups fill 152 at scale 1 and 188 at scales 1 and 2, so only a
+#: process that serves many scales or hierarchies ever recompiles.
+_CODE_LIMIT = 1024
 
 _PAGE_SHIFT = PAGE_BYTES.bit_length() - 1
 assert PAGE_BYTES == 1 << _PAGE_SHIFT
@@ -130,7 +129,9 @@ def _store(value: str, size: int) -> list[str]:
         return [f"if (p := pg(x >> {_PAGE_SHIFT})) is not None: "
                 f"p[x & {_OFF}] = {value} & 0xFF",
                 f"else: st(x, {value}, 1)"]
-    low = value if size == 8 else f"({value} & {(1 << 8 * size) - 1})"
+    # Parenthesized, so a literal 0 (R31) takes the method call too.
+    low = f"({value})" if size == 8 else \
+        f"({value} & {(1 << 8 * size) - 1})"
     return [f"if (o := x & {_OFF}) <= {PAGE_BYTES - size} and "
             f"(p := pg(x >> {_PAGE_SHIFT})) is not None: "
             f'p[o:o + {size}] = {low}.to_bytes({size}, "little")',
@@ -274,29 +275,16 @@ def _compile(source: str) -> CodeType:
                 if isinstance(const, CodeType))
 
 
-def runs_of(program: Program) -> dict:
-    """The compiled runs of ``program`` (see :data:`_TABLES`), kept
-    once per ``Program`` object and process."""
-    entry = _TABLES.get(program.name)
-    if entry is None or entry[0] is not program:
-        entry = _TABLES[program.name] = (program, {})
-    return entry[1]
-
-
-def bind(runs: dict, cp: CompiledProgram, variant: tuple, start: int,
+def bind(cp: CompiledProgram, variant: tuple, start: int,
          cap: int | None, defaults: tuple) -> tuple:
     """``(run, length, halts)``: the run at ``start`` as a function of
     no arguments over one machine's objects (``defaults``, in the
-    variant's parameter order), compiled on first use.  ``runs`` is
-    the program's table from :func:`runs_of`."""
-    key = (variant, start, cap)
-    entry = runs.get(key)
-    if entry is None:
-        source, length, halts = run_source(cp, variant, start, cap)
-        digest = blake2b(source.encode(), digest_size=16).digest()
-        code = _CODE.get(digest)
-        if code is None:
-            code = _CODE[digest] = _compile(source)
-        entry = runs[key] = (code, length, halts)
-    code, length, halts = entry
+    variant's parameter order), compiled once per process."""
+    source, length, halts = run_source(cp, variant, start, cap)
+    digest = blake2b(source.encode(), digest_size=16).digest()
+    code = _CODE.get(digest)
+    if code is None:
+        if len(_CODE) >= _CODE_LIMIT:
+            _CODE.clear()
+        code = _CODE[digest] = _compile(source)
     return FunctionType(code, _GLOBALS, "run", defaults), length, halts

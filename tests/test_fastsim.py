@@ -518,6 +518,16 @@ def assert_forward_matches(build, n, words=()):
                 == reference.feed.memory.load(addr, 8)), (n, hex(addr))
 
 
+def assert_every_cut_matches(build, words=()):
+    """``count_to_halt`` on a program from ``build`` against the
+    reference feed, then :func:`assert_forward_matches` at every cut
+    up to past the HALT (most cuts end mid-run)."""
+    length = count_to_halt(build())
+    assert length == feed_count(build())
+    for n in range(length + 2):
+        assert_forward_matches(build, n, words)
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(ops=st.lists(op_strategy, min_size=1, max_size=30),
@@ -588,30 +598,54 @@ def straddling_access():
     return asm.assemble(), edge
 
 
+def zero_stores():
+    """Stores of R31 at every size over words of ones, one of them
+    across a page boundary, then a loop whose count ORs the low bits of
+    every stored field read back: a zero store that left a one there
+    would change the count."""
+    asm = Assembler("zero-stores")
+    buf = asm.alloc("buf", 3 * PAGE_BYTES)
+    edge = buf - buf % PAGE_BYTES + 2 * PAGE_BYTES
+    asm.data_words(edge - 16, [MASK64] * 4)
+    asm.li("s0", edge - 16)
+    accesses = (("stq", "ldq", 0), ("stw", "ldwu", 8), ("stb", "ldbu", 10),
+                ("stq", "ldq", 12), ("stl", "ldl", 20))   # 12 straddles
+    for store, _, disp in accesses:
+        asm.store(store, "zero", "s0", disp)
+    for _, load, disp in accesses:
+        asm.load(load, "t1", "s0", disp)
+        asm.op("bis", "t0", "t0", "t1")
+    asm.op("and", "t0", "t0", 7)
+    asm.op("addq", "t0", "t0", 2)
+    asm.label("loop")
+    asm.op("subq", "t0", "t0", 1)
+    asm.br("bgt", "t0", "loop")
+    asm.halt()
+    return asm.assemble(), edge
+
+
 class TestGeneratedRuns:
     """The length count and the warm-up run generated straight-line
     code (:mod:`repro.fastsim.runs`); these programs reach the cases
     the workloads barely touch."""
 
     def test_indirect_jump_into_the_middle_of_a_run(self):
-        program = jump_into_run()
-        length = count_to_halt(program)
-        assert length == feed_count(program)
-        for n in range(length + 2):        # most cuts end mid-run
-            assert_forward_matches(jump_into_run, n)
+        assert_every_cut_matches(jump_into_run)
 
     def test_access_that_straddles_a_page(self):
-        program, edge = straddling_access()
-        length = count_to_halt(program)
-        assert length == feed_count(program)
-        words = (edge - 8, edge)
-        for n in range(length + 2):        # most cuts end mid-run
-            assert_forward_matches(lambda: straddling_access()[0], n, words)
+        edge = straddling_access()[1]
+        assert_every_cut_matches(lambda: straddling_access()[0],
+                                 (edge - 8, edge))
+
+    def test_stores_of_r31(self):
+        edge = zero_stores()[1]
+        assert_every_cut_matches(lambda: zero_stores()[0],
+                                 tuple(edge + d for d in (-16, -8, 0, 8)))
 
     def test_runs_compile_once_per_process(self, monkeypatch):
-        # A second machine on the same program binds the runs the first
-        # compiled; an equal program built again regenerates their
-        # sources and finds every one compiled.
+        # A second machine on the same program, and an equal program
+        # built again, regenerate the sources of the runs the first
+        # compiled and find every one compiled.
         compiled, generated = [], []
         compile_source, source_of = runs._compile, runs.run_source
         monkeypatch.setattr(runs, "_CODE", {})
@@ -631,12 +665,19 @@ class TestGeneratedRuns:
         program = w.builder(1)
         warm_and_count(program)
         assert compiled and len(compiled) == len(generated)
-        compiled.clear()
-        generated.clear()
-        warm_and_count(program)
-        assert compiled == generated == []
-        warm_and_count(w.builder(1))
-        assert generated and compiled == []
+        for again in (program, w.builder(1)):
+            compiled.clear()
+            generated.clear()
+            warm_and_count(again)
+            assert generated and compiled == []
+
+    def test_compiled_code_is_bounded(self, monkeypatch):
+        # Past the limit the cache starts over, and the runs it drops
+        # compile again on their next use with the same results.
+        monkeypatch.setattr(runs, "_CODE", {})
+        monkeypatch.setattr(runs, "_CODE_LIMIT", 2)
+        assert_every_cut_matches(jump_into_run)
+        assert 0 < len(runs._CODE) <= 2
 
     def test_dropped_machine_frees_its_hierarchy(self, monkeypatch):
         # Generated functions share one globals dict that holds none of
@@ -780,7 +821,7 @@ class TestWarmStore:
         # every microsecond: a restore that read a half-stored entry,
         # or shared an object with another machine, breaks equality.
         # The generated runs start uncompiled, so the threads also fill
-        # the shared run tables together.
+        # the shared code cache together.
         cells = [(name, config) for name in ("go", "gcc")
                  for config in (BASELINE, PACKING_REPLAY, NO_DETECT)]
         warmups = {name: resolve_warmup(get_workload(name), 1)
@@ -793,7 +834,6 @@ class TestWarmStore:
             expected[name, config] = warm_state(machine)
         fast_machine._WARM.clear()
         monkeypatch.setattr(runs, "_CODE", {})
-        monkeypatch.setattr(runs, "_TABLES", {})
         results = []
         errors = []
 

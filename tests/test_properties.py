@@ -42,10 +42,10 @@ op_strategy = st.one_of(
               st.sampled_from(("ldq", "ldl", "ldwu", "ldbu")),
               st.sampled_from(_WORK_REGS),
               st.integers(min_value=0, max_value=24)),
-    # store: ("store", mnemonic, rs, disp)
+    # store: ("store", mnemonic, rs, disp); R31 stores zero
     st.tuples(st.just("store"),
               st.sampled_from(("stq", "stl", "stw", "stb")),
-              st.sampled_from(_WORK_REGS),
+              st.sampled_from(_WORK_REGS + ("zero",)),
               st.integers(min_value=0, max_value=24)),
 )
 
