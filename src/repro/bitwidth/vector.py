@@ -4,8 +4,9 @@ The trace-replay backend (:mod:`repro.fastsim`) measures widths over
 whole numpy columns at once instead of per instruction.  Every function
 here is an element-wise twin of a scalar path in
 :mod:`repro.bitwidth.detect` / :mod:`repro.bitwidth.tags` /
-:mod:`repro.power.gating`, and the round-trip property tests assert
-equality against the scalar versions value-for-value.
+:mod:`repro.power.gating`; phase 2 of the fast backend is built on
+them, so every fast-versus-reference comparison checks them against
+the scalar versions.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitwidth.detect import CUT_ADDRESS, CUT_NARROW
-from repro.bitwidth.tags import TAG_NARROW16, TAG_NARROW33, TAG_WIDE
+from repro.bitwidth.tags import TAG_NARROW16, TAG_NARROW33
 from repro.power.gating import GatingPolicy
 
 _U64 = np.uint64
-_ONES16 = _U64(0xFFFFFFFFFFFF)   # MASK64 >> 16
-_ONES33 = _U64(0x7FFFFFFF)       # MASK64 >> 33
 
 
 def effective_widths(values: np.ndarray) -> np.ndarray:
@@ -44,19 +43,6 @@ def effective_widths(values: np.ndarray) -> np.ndarray:
 def pair_widths(a_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
     """Element-wise :func:`repro.bitwidth.detect.operand_pair_width`."""
     return np.maximum(effective_widths(a_values), effective_widths(b_values))
-
-
-def tag_codes_of_values(values: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`repro.bitwidth.tags.tag_code_of_value`."""
-    v = np.asarray(values, dtype=_U64)
-    high16 = v >> _U64(CUT_NARROW)
-    high33 = v >> _U64(CUT_ADDRESS)
-    narrow16 = (high16 == 0) | (high16 == _ONES16)
-    narrow33 = (high33 == 0) | (high33 == _ONES33)
-    codes = np.full(v.shape, TAG_WIDE, dtype=np.int8)
-    codes[narrow33] = TAG_NARROW33
-    codes[narrow16] = TAG_NARROW16
-    return codes
 
 
 def gate_widths(policy: GatingPolicy, tag_a_codes: np.ndarray,

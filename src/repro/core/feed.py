@@ -73,10 +73,6 @@ class DynInst:
         """Both ALU operands <= 16 bits (packing/gating precondition)."""
         return self.tag_a.narrow16 and self.tag_b.narrow16
 
-    @property
-    def pair_narrow33(self) -> bool:
-        return self.tag_a.narrow33 and self.tag_b.narrow33
-
 
 class _Checkpoint:
     """Architected state saved when the feed goes speculative."""

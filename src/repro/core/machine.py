@@ -110,7 +110,6 @@ class Machine:
         self._fetch_stall_until = 0
         self._fetch_resume = 0
         self._measuring = True
-        self._capture = None
         self.done = False
 
         # observability (zero-cost until something attaches)
@@ -178,24 +177,6 @@ class Machine:
     def _emit(self, event: Event) -> None:
         for handler in self._subscribers:
             handler(event)
-
-    def attach_capture(self, sink):
-        """Attach a dynamic-trace capture sink (zero-cost when absent).
-
-        ``sink`` is a callable invoked with every *measured*
-        :class:`~repro.core.feed.DynInst` — the exact stream the width /
-        fluctuation / power instruments observe at issue time, wrong
-        path and replay re-issues included.  The fast backend
-        (:mod:`repro.fastsim`) replays such a capture through its
-        vectorized twins; the round-trip tests use this hook to prove
-        the replay reproduces this machine's instruments bit-exactly.
-        Returns ``sink`` for chaining; detach with ``detach_capture``.
-        """
-        self._capture = sink
-        return sink
-
-    def detach_capture(self) -> None:
-        self._capture = None
 
     # ------------------------------------------------------------------ run
 
@@ -464,10 +445,6 @@ class Machine:
                 dyn.op_class, dyn.tag_a, dyn.tag_b,
                 produces_result=dyn.result is not None,
                 operand_from_load=dyn.operand_from_load)
-        else:
-            return
-        if self._capture is not None:
-            self._capture(dyn)
 
     # ---------------------------------------------------------------- dispatch
 

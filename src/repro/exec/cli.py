@@ -1,10 +1,10 @@
 """Shared run-engine command-line flags.
 
 Every CLI that can touch the run engine — ``repro-experiments``,
-``repro-obs``, ``repro-chaos``, ``repro-equivalence``, ``repro-serve``
-— accepts the *same* engine knobs with the *same* documentation,
-declared once here and turned into the same typed
-:class:`~repro.exec.context.RunContext` by :func:`context_from_args`.
+``repro-obs``, ``repro-chaos``, ``repro-serve`` — accepts the *same*
+engine knobs with the *same* documentation, declared once here and
+turned into the same typed :class:`~repro.exec.context.RunContext` by
+:func:`context_from_args`.
 A flag behaving differently across tools (or existing on one and not
 another) is a bug in this module, not a per-tool quirk.
 
@@ -38,11 +38,10 @@ def add_engine_arguments(parser: argparse.ArgumentParser,
     group.add_argument("--backend", default="reference",
                        choices=BACKENDS,
                        help="simulation backend: the reference "
-                            "cycle-level machine (default), the "
+                            "cycle-level machine (default) or the "
                             "two-phase fast backend (bit-exact by "
                             "contract; obs runs fall back to the "
-                            "reference), or 'both' — run the two and "
-                            "fail on any counter divergence")
+                            "reference)")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="persistent result cache directory; warm "
                             "reruns skip simulation entirely")

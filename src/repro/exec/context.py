@@ -13,7 +13,7 @@ from pathlib import Path
 
 
 #: Valid simulation backends (see :attr:`RunContext.backend`).
-BACKENDS = ("reference", "fast", "both")
+BACKENDS = ("reference", "fast")
 
 #: Valid on-disk cache layouts (see :attr:`RunContext.cache_layout`).
 CACHE_LAYOUTS = ("flat", "cas")
@@ -26,13 +26,11 @@ class RunContext:
     #: directory for obs run manifests (None = no obs instrumentation).
     obs_dir: Path | None = None
     #: simulation backend: ``"reference"`` (the cycle-level
-    #: :class:`~repro.core.machine.Machine`), ``"fast"`` (the two-phase
-    #: :class:`~repro.fastsim.machine.FastMachine`; falls back to the
-    #: reference when obs instrumentation is requested, since probes
-    #: only exist there), or ``"both"`` — run the two back to back and
-    #: raise :class:`~repro.exec.engine.BackendDivergence` unless the
-    #: serialized results are identical.  ``"both"`` never recalls from
-    #: a cache tier: a recalled result would skip the cross-check.
+    #: :class:`~repro.core.machine.Machine`) or ``"fast"`` (the
+    #: two-phase :class:`~repro.fastsim.machine.FastMachine`, bit-exact
+    #: by contract; falls back to the reference when obs
+    #: instrumentation is requested, since probes only exist there).
+    #: ``repro-equivalence`` is what compares the two.
     backend: str = "reference"
     #: directory for the persistent result cache (None = memory only).
     cache_dir: Path | None = None

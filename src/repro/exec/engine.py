@@ -78,11 +78,7 @@ from repro.core.machine import Machine, RunResult
 from repro.exec.cache import ResultCache
 from repro.exec.context import RunContext
 from repro.exec.jobs import Job, dedupe
-from repro.exec.serialize import (
-    dict_divergences,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.exec.serialize import result_from_dict, result_to_dict
 from repro.obs.export import build_manifest, write_manifest
 from repro.obs.sampler import IntervalSampler
 from repro.perf.clock import epoch_now, perf_now
@@ -173,11 +169,6 @@ class EngineStats:
 GLOBAL_STATS = EngineStats()
 
 
-class BackendDivergence(RuntimeError):
-    """``backend="both"`` found the fast and reference results unequal:
-    the fast backend's bit-exactness contract is broken for this job."""
-
-
 def _simulate(job: Job, obs: bool, fault: str | None = None,
               backend: str = "reference") -> dict:
     """Execute one job (worker-side): warmup, detailed run, serialize.
@@ -193,12 +184,11 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
     interpreted before the simulation starts.
 
     ``backend`` selects the simulator: ``"fast"`` runs the two-phase
-    :class:`~repro.fastsim.machine.FastMachine` (unless obs
-    instrumentation was requested — probes only exist on the reference
-    machine, so obs forces the reference path); ``"both"`` runs the
-    reference then the fast backend on an identical program and raises
-    :class:`BackendDivergence` naming the divergent result paths unless
-    the serialized results are equal.
+    :class:`~repro.fastsim.machine.FastMachine` unless obs
+    instrumentation was requested (probes only exist on the reference
+    machine, so obs forces the reference path).  The two backends are
+    compared by ``repro-equivalence`` (:mod:`repro.fastsim.cli`), not
+    here.
     """
     t_start = epoch_now()
     apply_fault(fault)
@@ -215,15 +205,8 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
         machine.add_probe(sampler)
         machine.enable_stall_attribution()
     machine.fast_forward(warmup)
-    cross = None
-    if backend == "both":
-        from repro.fastsim.machine import FastMachine
-        cross = FastMachine(workload.build(job.scale), job.config)
-        cross.fast_forward(warmup)
     t_run = epoch_now()
     result = machine.run(max_insts=workload.window)
-    cross_result = (cross.run(max_insts=workload.window)
-                    if cross is not None else None)
     t_serialize = epoch_now()
     manifest = None
     if sampler is not None:
@@ -232,13 +215,6 @@ def _simulate(job: Job, obs: bool, fault: str | None = None,
             result, attribution=machine.attribution, sampler=sampler,
             workload=job.workload, scale=job.scale)
     payload_result = result_to_dict(result)
-    if cross_result is not None:
-        divergent = dict_divergences(payload_result,
-                                     result_to_dict(cross_result))
-        if divergent:
-            raise BackendDivergence(
-                f"{job.workload} (scale {job.scale}): fast backend "
-                f"diverges from reference at {', '.join(divergent)}")
     t_end = epoch_now()
 
     registry = MetricsRegistry()
@@ -409,10 +385,6 @@ class RunEngine:
         ctx = self.ctx
         tracer = self.tracer
         if not ctx.use_cache or ctx.refresh:
-            return None, "fresh"
-        if ctx.backend == "both":
-            # The whole point of "both" is the cross-check; a recalled
-            # result would skip it.  Always simulate fresh.
             return None, "fresh"
         result = _MEMO.get(job.key)
         if result is not None:

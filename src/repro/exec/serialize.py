@@ -35,10 +35,10 @@ def result_to_dict(result: RunResult) -> dict:
 def dict_divergences(a: dict, b: dict, prefix: str = "") -> list[str]:
     """Dotted paths at which two serialized results differ.
 
-    The backend-equivalence machinery (``--backend both``, the
-    ``backend-equivalence`` CI matrix) reports *where* two results
-    disagree, not just that they do; a leaf differing in value or
-    present on only one side contributes its path.
+    ``repro-equivalence`` (:mod:`repro.fastsim.cli`) reports *where*
+    the fast and reference results disagree, not just that they do; a
+    leaf differing in value or present on only one side contributes
+    its path.
     """
     paths: list[str] = []
     for key in sorted(set(a) | set(b), key=str):

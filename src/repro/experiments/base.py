@@ -23,7 +23,7 @@ from dataclasses import replace
 
 from repro.core.config import BASELINE, MachineConfig
 from repro.core.machine import RunResult
-from repro.exec import Job, RunContext, RunEngine, clear_memo
+from repro.exec import Job, RunContext, RunEngine
 from repro.workloads.registry import (
     MEDIABENCH,
     SPECINT95,
@@ -56,11 +56,6 @@ def run_workload(name: str, config: MachineConfig = BASELINE,
     if not use_cache and ctx.use_cache:
         ctx = replace(ctx, use_cache=False)
     return RunEngine(ctx).run(Job(name, config, scale))
-
-
-def clear_cache() -> None:
-    """Drop the process-wide result memo (disk caches are untouched)."""
-    clear_memo()
 
 
 def spec_names() -> tuple[str, ...]:

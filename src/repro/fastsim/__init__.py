@@ -21,10 +21,11 @@ model SimpleScalar-style (``sim-fast`` / ``sim-outorder``):
 
 The contract is *bit-exactness*: ``FastMachine.run`` returns a
 :class:`~repro.core.machine.RunResult` whose serialized form equals the
-reference machine's for every workload and configuration.  The engine's
-``--backend both`` mode, the ``backend-equivalence`` CI matrix
-(:mod:`repro.fastsim.cli`), and the hypothesis round-trip tests enforce
-the contract continuously.
+reference machine's for every workload and configuration.
+``repro-equivalence`` (:mod:`repro.fastsim.cli`), which the
+``backend-equivalence`` CI matrix runs over the named configs and the
+jobs experiments declare, and the differential tests enforce the
+contract continuously.
 """
 
 from repro.fastsim.capture import TraceCapture

@@ -7,17 +7,10 @@ included).  A row is only what varies per dynamic instance: six plain
 ints appended to one flat list.  Phase 2 reads the list into numpy
 once, and takes each row's static facts (op class, opcode, PC, whether
 it produces a result) from the compiled program by its index.
-
-The capture is also a valid sink for
-:meth:`repro.core.machine.Machine.attach_capture`, so the reference
-machine can produce a trace of its own measurement stream; the
-round-trip tests replay such traces to prove the vectorized phase-2
-paths reproduce the reference instruments bit-exactly.
 """
 
 from __future__ import annotations
 
-from repro.bitwidth.tags import tag_code
 from repro.isa.opcodes import Opcode, OpClass
 
 #: Canonical code orders shared by capture and replay: a class/opcode
@@ -48,10 +41,3 @@ class TraceCapture:
 
     def __len__(self) -> int:
         return len(self.values) // ROW_VALUES
-
-    def __call__(self, dyn) -> None:
-        """``Machine.attach_capture`` sink: capture a measured
-        :class:`~repro.core.feed.DynInst` from the reference machine."""
-        self.values.extend((dyn.index, dyn.a_val, dyn.b_val,
-                            tag_code(dyn.tag_a), tag_code(dyn.tag_b),
-                            dyn.operand_from_load))

@@ -5,27 +5,28 @@ and the fast backend under the paper's methodology — identical warmup,
 identical detailed window — and compares the *serialized* results
 (:func:`repro.exec.serialize.result_to_dict`): every counter, the full
 width histogram, the fluctuation tracker, and the power report must be
-identical.  One divergent leaf anywhere fails the run.
+identical.  One divergent leaf anywhere fails the run.  This is the one
+place the two backends are compared.
 
 Output is a per-workload diff table (status, cycles, committed, the
 divergent result paths if any) plus an optional JSON document
 (``--out``) the ``backend-equivalence`` CI job uploads as an artifact.
 Exit status is the contract: 0 only when every workload matches.
 
-Configurations beyond the baseline can be swept with ``--configs``
-using the shared named-configuration catalog
+The cells come from one of two sources.  ``--configs`` sweeps the
+shared named-configuration catalog
 (:func:`repro.core.config.named_configs`) — e.g. ``packing`` (Section 5
 full packing), ``packing-replay`` (speculative replay packing), and
 ``no-detect`` (gating without load zero-detect) exercise the packing
 and gating decision paths that a baseline-only comparison would leave
-cold.
+cold.  ``--experiments`` instead takes the jobs registered experiments
+declare (:mod:`repro.experiments.registry`), which reaches configs
+outside the catalog, such as Figure 10's perfect-predictor packing runs
+at 8-wide decode; such a config is labelled by its fingerprint.
 
-The CLI accepts the shared run-engine flag group
-(:mod:`repro.exec.cli`) like every other repro tool.  ``--jobs`` runs
-comparison cells in parallel worker processes and ``--timeout`` bounds
-each cell; the cache and backend knobs are accepted for flag uniformity
-but deliberately inert here — an equivalence *proof* always simulates
-both backends fresh, recalling nothing.
+``--jobs`` runs comparison cells in parallel worker processes and
+``--timeout`` bounds each cell there.  Nothing is recalled from a
+result cache: a proof simulates both backends fresh.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ from pathlib import Path
 
 from repro.core.config import MachineConfig, named_configs
 from repro.core.machine import Machine
-from repro.exec.cli import add_engine_arguments, validate_engine_args
 from repro.exec.engine import kill_pool
+from repro.exec.jobs import dedupe
 from repro.exec.serialize import dict_divergences, result_to_dict
+from repro.experiments.registry import experiment_names, get_experiment
 from repro.fastsim.machine import FastMachine
 from repro.perf.clock import perf_now
 from repro.workloads.registry import all_workloads, get_workload, \
@@ -112,14 +114,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prove the fast backend bit-exact against the "
                     "reference machine over the workload matrix.")
     parser.add_argument("--workloads", nargs="+", default=None,
+                        choices=[w.name for w in all_workloads()],
                         metavar="NAME",
                         help="workloads to compare (default: all)")
-    parser.add_argument("--configs", nargs="+", default=["baseline"],
-                        choices=sorted(named_configs()),
-                        metavar="CONFIG",
-                        help="named machine configurations to sweep "
-                             "(default: baseline; choices: "
-                             + ", ".join(sorted(named_configs())) + ")")
+    cells = parser.add_mutually_exclusive_group()
+    cells.add_argument("--configs", nargs="+", default=["baseline"],
+                       choices=sorted(named_configs()),
+                       metavar="CONFIG",
+                       help="named machine configurations to sweep "
+                            "(default: baseline; choices: "
+                            + ", ".join(sorted(named_configs())) + ")")
+    cells.add_argument("--experiments", nargs="+", default=None,
+                       choices=experiment_names(), metavar="NAME",
+                       help="compare the jobs these experiments declare "
+                            "instead (choices: "
+                            + ", ".join(experiment_names()) + ")")
     parser.add_argument("--scale", type=int, default=1,
                         help="workload scale factor (default 1)")
     parser.add_argument("--window", type=int, default=None,
@@ -129,8 +138,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None, metavar="FILE",
                         help="write the comparison document as JSON "
                              "(the CI artifact)")
-    add_engine_arguments(parser)
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="worker processes for fresh simulations "
+                             "(default 1 = serial; results are "
+                             "bit-exact either way)")
+    parser.add_argument("--timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="per-job wall-clock timeout (pooled mode "
+                             "only; a hung worker is killed and the "
+                             "job becomes a failed row)")
     return parser
+
+
+def _sections(args: argparse.Namespace,
+              ) -> list[tuple[str, MachineConfig, list[str]]]:
+    """The cells to compare as ``(label, config, workloads)`` groups,
+    in run order.  An experiment's config equal to a named one keeps
+    its name; any other is labelled by its fingerprint."""
+    if args.experiments is None:
+        names = args.workloads or [w.name for w in all_workloads()]
+        configs = named_configs()
+        return [(name, configs[name], names) for name in args.configs]
+    labels = {config: name for name, config in named_configs().items()}
+    grouped: dict[MachineConfig, list[str]] = {}
+    for job in dedupe([job for name in args.experiments
+                       for job in get_experiment(name).jobs(args.scale)]):
+        if args.workloads is None or job.workload in args.workloads:
+            grouped.setdefault(job.config, []).append(job.workload)
+    return [(labels.get(config, config.fingerprint()[:10]), config, names)
+            for config, names in grouped.items()]
 
 
 def _failed_row(name: str, error: str) -> dict:
@@ -183,34 +219,38 @@ def _run_cells(cells: list[tuple],
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    validate_engine_args(parser, args)
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
+    if args.timeout is not None and args.timeout <= 0:
+        parser.error("--timeout must be positive")
     if args.scale < 1:
         parser.error("--scale must be >= 1")
     if args.window is not None and args.window < 1:
         parser.error("--window must be >= 1")
-    names = (list(args.workloads) if args.workloads
-             else [w.name for w in all_workloads()])
-    configs = named_configs()
+    sections = _sections(args)
+    if not sections:
+        parser.error(f"--experiments {' '.join(args.experiments)} "
+                     f"leaves no cells to compare"
+                     + (" on these workloads" if args.workloads else ""))
 
-    sections: dict[str, list[dict]] = {}
+    compared: dict[str, tuple[MachineConfig, list[dict]]] = {}
     divergent = 0
-    for config_name in args.configs:
-        config = configs[config_name]
+    for label, config, names in sections:
 
-        def progress(name: str, _cfg: str = config_name) -> None:
-            print(f"[equivalence] {_cfg}/{name}",
+        def progress(name: str, _label: str = label) -> None:
+            print(f"[equivalence] {_label}/{name}",
                   file=sys.stderr, flush=True)
 
         cells = [(name, config, args.scale, args.window)
                  for name in names]
         rows = _run_cells(cells, args.jobs, args.timeout, progress)
         divergent += sum(1 for row in rows if not row["match"])
-        sections[config_name] = rows
-        print(f"\n== {config_name} "
+        compared[label] = (config, rows)
+        print(f"\n== {label} "
               f"(config {config.fingerprint()[:10]}) ==")
         print(render_table(rows))
 
-    total = sum(len(rows) for rows in sections.values())
+    total = sum(len(rows) for _config, rows in compared.values())
     verdict = (f"backend-equivalence: {total - divergent}/{total} "
                f"matched, {divergent} divergent")
     print(f"\n{verdict}")
@@ -220,12 +260,13 @@ def main(argv: list[str] | None = None) -> int:
             "schema": SCHEMA,
             "scale": args.scale,
             "window": args.window,
+            "experiments": args.experiments,
             "divergent": divergent,
             "total": total,
             "configs": {
-                name: {"config_fingerprint": configs[name].fingerprint(),
-                       "workloads": rows}
-                for name, rows in sections.items()
+                label: {"config_fingerprint": config.fingerprint(),
+                        "workloads": rows}
+                for label, (config, rows) in compared.items()
             },
         }
         args.out.parent.mkdir(parents=True, exist_ok=True)

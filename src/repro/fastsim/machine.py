@@ -61,9 +61,10 @@ Everything the timing model decides (fetch breaks, dependences, issue
 selection, packing, replay traps, misprediction recovery, cache
 latencies) is replicated decision-for-decision, because the measured
 stream itself is timing-dependent: wrong-path depth depends on when
-branches resolve.  The contract — enforced by ``--backend both``, the
-CI equivalence matrix, and the round-trip tests — is that
-``FastMachine.run`` serializes identically to ``Machine.run``.
+branches resolve.  The contract — enforced by ``repro-equivalence``
+(:mod:`repro.fastsim.cli`, run by the CI equivalence matrix) and the
+differential tests — is that ``FastMachine.run`` serializes
+identically to ``Machine.run``.
 """
 
 from __future__ import annotations

@@ -83,10 +83,6 @@ class SpanTracer:
         """Current time on the tracer's own timeline (seconds)."""
         return perf_now() - self._t0
 
-    def rel_perf(self, t: float) -> float:
-        """Rebase a raw :func:`perf_now` timestamp onto the timeline."""
-        return t - self._t0
-
     def rel_epoch(self, t: float) -> float:
         """Rebase a raw :func:`epoch_now` timestamp onto the timeline."""
         return t - self._epoch0
@@ -124,13 +120,6 @@ class SpanTracer:
     def span(self, name: str, cat: str = "engine", **args):
         """Context manager: ``with tracer.span("schedule"): ...``"""
         return _SpanContext(self, name, cat, args)
-
-    def add_perf(self, name: str, cat: str, start: float, end: float,
-                 parent: int | None = None, pid: int = ENGINE_PID,
-                 **args) -> int:
-        """Record a completed span from raw :func:`perf_now` stamps."""
-        return self._add(name, cat, self.rel_perf(start),
-                         self.rel_perf(end), parent, pid, args)
 
     def add_epoch(self, name: str, cat: str, start: float, end: float,
                   parent: int | None = None, pid: int = ENGINE_PID,

@@ -83,13 +83,13 @@ class CommitChecksum:
         feed = machine.feed
         original_next = feed.next
 
-        def next_with_capture() -> DynInst | None:
+        def recording_next() -> DynInst | None:
             dyn = original_next()
             if dyn is not None and not feed.fast_mode:
                 self._by_seq[dyn.seq] = dyn
             return dyn
 
-        feed.next = next_with_capture  # type: ignore[method-assign]
+        feed.next = recording_next  # type: ignore[method-assign]
         machine.subscribe(self._on_event)
 
     def _on_event(self, event: Event) -> None:

@@ -46,6 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="suite seed (per-trial seeds derive from it)")
     parser.add_argument("-w", "--workload", action="append", default=None,
+                        choices=[w.name for w in all_workloads()],
+                        metavar="NAME",
                         help="workload(s) to perturb (default: all)")
     parser.add_argument("-i", "--injector", action="append", default=None,
                         choices=sorted(INJECTOR_TYPES),

@@ -26,17 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import MachineConfig, named_configs
+from repro.core.config import named_configs
+from repro.exec.context import BACKENDS
 from repro.exec.jobs import Job
 
 #: Wire schema for every request/response document (bump on breaking
 #: layout changes; the major part gates request admission).
 API_SCHEMA = "repro-service/1"
-
-#: Backends a submission may request.  ``"both"`` is deliberately
-#: absent: the cross-check mode exists to *prove* equivalence (it never
-#: recalls from cache), which is a CI concern, not a serving mode.
-SUBMIT_BACKENDS = ("reference", "fast")
 
 #: Job states a :class:`JobStatus` can report.
 QUEUED = "queued"
@@ -248,14 +244,6 @@ class JobSpec:
         return self.resolve().fingerprint()
 
 
-def resolve_config(name: str) -> MachineConfig:
-    """Named-config lookup with the API's typed failure."""
-    configs = named_configs()
-    _require(name in configs, f"unknown config {name!r}",
-             known=sorted(configs))
-    return configs[name]
-
-
 # ------------------------------------------------------- request/response
 
 @dataclass(frozen=True)
@@ -289,8 +277,8 @@ class SubmitRequest:
                  f"unsupported schema {schema!r} "
                  f"(this service speaks {API_SCHEMA})")
         backend = data.get("backend", "reference")
-        _require(backend in SUBMIT_BACKENDS,
-                 f"backend must be one of {SUBMIT_BACKENDS}, "
+        _require(backend in BACKENDS,
+                 f"backend must be one of {BACKENDS}, "
                  f"got {backend!r}")
         deadline = data.get("deadline_seconds")
         if deadline is not None:

@@ -34,6 +34,7 @@ import time
 import urllib.parse
 from pathlib import Path
 
+from repro.exec.context import BACKENDS
 from repro.perf.clock import mono_now
 from repro.service.api import (
     API_SCHEMA,
@@ -260,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--scale", type=int, default=1,
                           help="workload scale factor (default 1)")
     p_submit.add_argument("--backend", default="reference",
-                          choices=("reference", "fast"),
+                          choices=BACKENDS,
                           help="execution backend for fresh jobs")
     p_submit.add_argument("--wait", action="store_true",
                           help="block until the sweep is terminal")

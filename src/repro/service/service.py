@@ -70,7 +70,7 @@ from repro.exec.context import RunContext
 from repro.exec.engine import RunEngine
 from repro.exec.jobs import Job
 from repro.exec.serialize import result_to_dict
-from repro.exec.shards import ShardedResultCache, shard_key
+from repro.exec.shards import ShardedResultCache
 from repro.obs.export import manifest_records, read_manifest
 from repro.perf.clock import epoch_now, mono_now
 from repro.perf.metrics import get_registry
@@ -1025,7 +1025,3 @@ class ExperimentService:
             return None
         return self._store.load_by_fingerprint(fingerprint)
 
-
-def shard_of_fingerprint(fingerprint: str) -> str:
-    """Convenience re-export: which CAS shard a fingerprint lands in."""
-    return shard_key(fingerprint)

@@ -154,13 +154,11 @@ class TestLayoutMarker:
 
 def _all_parsers():
     from repro.experiments.runner import build_parser as experiments
-    from repro.fastsim.cli import build_parser as equivalence
     from repro.obs.cli import build_parser as obs
     from repro.robust.cli import build_parser as chaos
     from repro.service.server import build_parser as serve
     return {"repro-experiments": experiments(), "repro-obs": obs(),
-            "repro-chaos": chaos(), "repro-equivalence": equivalence(),
-            "repro-serve": serve()}
+            "repro-chaos": chaos(), "repro-serve": serve()}
 
 
 class TestSharedEngineFlags:

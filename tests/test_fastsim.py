@@ -22,15 +22,17 @@ Four layers, from leaf to whole-machine:
    key, the key holds every config field that changes that state, and
    threads sharing the store see the sequential states;
 4. the run engine's ``backend`` plumbing: ``fast`` yields the same
-   results as ``reference`` through :class:`RunEngine`, ``both``
-   cross-checks and raises :class:`BackendDivergence` on any tampering,
-   and an unknown backend is rejected at context construction.
+   results as ``reference`` through :class:`RunEngine`, and an unknown
+   backend (``both`` included) is rejected at context construction.
 
-``repro-equivalence`` argument validation rides along: a window or
-scale that would compare nothing is a usage error, never a vacuous
-pass, and a pooled cell that hangs, raises or kills its worker is a
-failed row, never a hang or a traceback.  So does set-up cost: building
-either machine allocates cache sets only as a run touches them.
+``repro-equivalence``, the one command that compares the backends,
+rides along: a window, scale, workload or experiment choice that would
+compare nothing is a usage error, never a vacuous pass; ``--experiments``
+takes its cells from the jobs experiments declare; a tampered fast
+result is a divergent row naming the path; and a pooled cell that
+hangs, raises or kills its worker is a failed row, never a hang or a
+traceback.  So does set-up cost: building either machine allocates
+cache sets only as a run touches them.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from repro.core.config import (
 from repro.core.feed import Feed
 from repro.core.machine import Machine
 from repro.exec import Job, RunContext, RunEngine, clear_memo
-from repro.exec.engine import BackendDivergence
 from repro.exec.serialize import dict_divergences, result_to_dict
 from repro.fastsim import cli as equivalence_cli
 from repro.fastsim import machine as fast_machine
@@ -79,7 +80,6 @@ from repro.isa.semantics import (
 )
 from repro.memory.hierarchy import HierarchyConfig
 from repro.power.gating import GatingPolicy
-from repro.robust.report import SuiteFailure
 from repro.workloads.registry import (
     dynamic_length,
     get_workload,
@@ -967,9 +967,10 @@ JOB = Job("go", BASELINE, 1)
 
 
 class TestEngineBackend:
-    def test_invalid_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["warp", "both"])
+    def test_invalid_backend_rejected(self, backend):
         with pytest.raises(ValueError, match="backend"):
-            RunContext(backend="warp")
+            RunContext(backend=backend)
 
     def test_fast_matches_reference_through_engine(self):
         ref = RunEngine(RunContext(use_cache=False)).run(JOB)
@@ -979,44 +980,6 @@ class TestEngineBackend:
         assert dict_divergences(result_to_dict(ref),
                                 result_to_dict(fast)) == []
 
-    def test_both_mode_passes_clean(self):
-        result = RunEngine(RunContext(backend="both",
-                                      use_cache=False)).run(JOB)
-        assert result.stats.committed > 0
-
-    def test_both_mode_never_served_from_cache(self, tmp_path):
-        # A cached result proves nothing about the current fast
-        # backend; "both" must re-simulate even on a warm cache.
-        ctx = RunContext(cache_dir=str(tmp_path))
-        RunEngine(ctx).run(JOB)
-        clear_memo()
-        both = RunContext(backend="both", cache_dir=str(tmp_path))
-        engine = RunEngine(both)
-        engine.run(JOB)
-        assert engine.stats.cache_hits == 0
-
-    def test_both_mode_raises_on_divergence(self, monkeypatch):
-        # Tamper with the fast backend's result; the cross-check must
-        # refuse to return it and name the divergent counter.  The
-        # engine's worker boundary converts the BackendDivergence into
-        # a failed job outcome (tried once: retries=0), so the typed
-        # error surfaces through SuiteFailure.
-        original = FastMachine.run
-
-        def tampered(self, max_insts=None):
-            result = original(self, max_insts=max_insts)
-            result.stats.committed += 1
-            return result
-
-        monkeypatch.setattr(FastMachine, "run", tampered)
-        engine = RunEngine(RunContext(backend="both", use_cache=False,
-                                      retries=0))
-        with pytest.raises(SuiteFailure) as excinfo:
-            engine.run(JOB)
-        (outcome,) = excinfo.value.report.outcomes
-        assert BackendDivergence.__name__ in outcome.error
-        assert "stats.committed" in outcome.error
-
 
 # ------------------------------------------------------------------- CLI
 
@@ -1025,12 +988,28 @@ class TestEquivalenceArgs:
         (["--window", "0"], "--window must be >= 1"),
         (["--window", "-5"], "--window must be >= 1"),
         (["--scale", "0"], "--scale must be >= 1"),
-    ], ids=["window-0", "window-negative", "scale-0"])
+        (["--workloads", "nope"], "invalid choice: 'nope'"),
+        (["--experiments", "table1"],
+         "--experiments table1 leaves no cells to compare"),
+        (["--experiments", "nope"], "invalid choice: 'nope'"),
+        (["--experiments", "fig10", "--configs", "baseline"],
+         "not allowed with argument"),
+        (["--backend", "both"], "unrecognized arguments: --backend both"),
+        (["--no-cache"], "unrecognized arguments: --no-cache"),
+    ], ids=["window-0", "window-negative", "scale-0", "unknown-workload",
+            "experiment-without-jobs", "unknown-experiment",
+            "experiments-with-configs", "backend-flag", "cache-flag"])
     def test_empty_comparison_is_a_usage_error(self, argv, message,
-                                               capsys):
+                                               capsys, monkeypatch):
         # A zero or negative window simulates nothing (or silently
         # means "full window"), so the matrix would "match" without
-        # comparing a single instruction; scale 0 builds no workload.
+        # comparing a single instruction; scale 0 builds no workload,
+        # and an experiment without jobs declares no cell.  Every
+        # refusal comes before the first simulation.
+        def never(*args):
+            raise AssertionError("simulated a refused comparison")
+
+        monkeypatch.setattr(equivalence_cli, "compare_one", never)
         with pytest.raises(SystemExit) as excinfo:
             equivalence_cli.main(argv + ["--workloads", "go"])
         assert excinfo.value.code == 2
@@ -1110,9 +1089,51 @@ class TestEquivalenceReport:
         assert lines[-1] == f"wrote {out}"
         doc = json.loads(out.read_text())
         assert doc["schema"] == "repro-equivalence/2"
+        assert doc["experiments"] is None
         assert doc["total"] == 1
         (row,) = doc["configs"]["baseline"]["workloads"]
         assert row["ref_wall_seconds"] > 0
         assert row["fast_wall_seconds"] > 0
         assert row["speedup"] == pytest.approx(
             row["ref_wall_seconds"] / row["fast_wall_seconds"], rel=0.01)
+
+    def test_experiments_take_their_declared_cells(self, tmp_path, capsys):
+        # fig10-8wide declares one named config (the combining plain
+        # runs are wide-decode) and three outside the catalog, which
+        # are labelled by fingerprint.
+        out = tmp_path / "eq.json"
+        code = equivalence_cli.main(["--experiments", "fig10-8wide",
+                                     "--workloads", "go", "--window",
+                                     "2000", "--out", str(out)])
+        assert code == 0
+        assert "4/4 matched, 0 divergent" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["experiments"] == ["fig10-8wide"]
+        assert len(doc["configs"]) == 4
+        assert "wide-decode" in doc["configs"]
+        for label, section in doc["configs"].items():
+            if label != "wide-decode":
+                assert label == section["config_fingerprint"][:10]
+            assert [row["workload"] for row in section["workloads"]] == [
+                "go"]
+
+    def test_tampered_fast_result_is_named(self, monkeypatch, tmp_path,
+                                           capsys):
+        # The fast backend's result is off by one commit: the row is
+        # divergent and names the counter, and the command fails.
+        original = FastMachine.run
+
+        def tampered(self, max_insts=None):
+            result = original(self, max_insts=max_insts)
+            result.stats.committed += 1
+            return result
+
+        monkeypatch.setattr(FastMachine, "run", tampered)
+        out = tmp_path / "eq.json"
+        code = equivalence_cli.main(["--workloads", "go", "--window",
+                                     "2000", "--out", str(out)])
+        assert code == 1
+        assert "DIVERGED" in capsys.readouterr().out
+        (row,) = json.loads(out.read_text())["configs"]["baseline"][
+            "workloads"]
+        assert "stats.committed" in row["divergences"]

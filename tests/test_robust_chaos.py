@@ -93,10 +93,12 @@ class TestChaosCLI:
         (["--window", "0"], "--window must be >= 1"),
         (["--window", "-5"], "--window must be >= 1"),
         (["--scale", "0"], "--scale must be >= 1"),
-    ], ids=["window-0", "window-negative", "scale-0"])
+        (["-w", "nope"], "invalid choice: 'nope'"),
+    ], ids=["window-0", "window-negative", "scale-0", "unknown-workload"])
     def test_empty_trial_is_a_usage_error(self, argv, message, capsys):
         # A negative window arms nothing yet would print the clean
-        # verdict line; window 0 runs to HALT; scale 0 builds nothing.
+        # verdict line; window 0 runs to HALT; scale 0 builds nothing;
+        # an unknown workload is named before any trial runs.
         with pytest.raises(SystemExit) as excinfo:
             main(["-w", "go", "-i", "tag-flip"] + argv)
         assert excinfo.value.code == 2

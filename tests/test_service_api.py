@@ -110,7 +110,7 @@ class TestSubmitRequest:
     def test_backend_choices(self):
         assert SubmitRequest.from_dict(
             self._body(backend="fast")).backend == "fast"
-        # "both" is the CI cross-check mode, not a serving mode.
+        # "both" is no backend: repro-equivalence compares the two.
         with pytest.raises(RequestInvalid):
             SubmitRequest.from_dict(self._body(backend="both"))
 
