@@ -58,14 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _select(names: list[str]) -> list[str]:
+def _select(names: list[str], parser: argparse.ArgumentParser) -> list[str]:
     registered = [w.name for w in all_workloads()]
     if not names or names == ["all"]:
         return registered
     unknown = [n for n in names if n not in registered]
     if unknown:
-        raise SystemExit(f"unknown workload(s): {', '.join(unknown)} "
-                         f"(try --list)")
+        parser.error(f"unknown workload(s): {', '.join(unknown)} "
+                     f"(use --list to enumerate)")
     return names
 
 
@@ -139,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{workload.description}")
         return 0
 
-    names = _select(args.workloads)
+    names = _select(args.workloads, parser)
 
     if args.packing_report:
         failures = _packing_report(names, args.scale, args.max_insts)

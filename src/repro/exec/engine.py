@@ -11,13 +11,26 @@ The engine owns the three result tiers and consults them in order:
 3. **fresh simulation** — in-process when ``ctx.jobs == 1``, fanned out
    over a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise.
 
-Determinism: fresh results are collected in job-submission order (never
-``as_completed``), and *every* fresh result — serial or pooled — passes
-through the same serialize/deserialize round trip the cache uses, so
-counters are bit-exact across all three tiers by construction.
+Determinism: a pooled round harvests results in completion order, but
+the results, cache writes and metrics merge in job-submission order
+once the batch is done, and *every* fresh result — serial or pooled —
+passes through the same serialize/deserialize round trip the cache
+uses, so counters are bit-exact across all three tiers by construction,
+whichever worker ran which job.
+
+Placement: the job's program, length count, warmed state and compiled
+runs are memoized per process and per ``(workload, scale)``, so a
+pooled round keeps one job in flight per worker and hands each freed
+worker (named by the pid in its payload) the oldest pending job of a
+``(workload, scale)`` it has already simulated, else the oldest one no
+other worker holds or is running, else the oldest
+(:func:`pick_job`).  The initial fill, and a worker whose job raised,
+use the last two rules.  Each dispatch by the first rule counts in
+:attr:`EngineStats.jobs_affine`.
 
 Fault tolerance (the robustness layer, :mod:`repro.robust`): each job
-gets a per-attempt wall-clock timeout (pooled mode), bounded retries
+gets a per-attempt wall-clock timeout (pooled mode, running from the
+job's own dispatch), bounded retries
 with deterministic exponential backoff, and the pool is rebuilt — with
 only the *lost* jobs requeued — when a child process dies
 (``BrokenProcessPool``) or a hung job has to be killed.  Because a
@@ -64,11 +77,14 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import (
+    FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
     Future,
     ProcessPoolExecutor,
+    wait,
 )
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
@@ -81,7 +97,7 @@ from repro.exec.jobs import Job, dedupe
 from repro.exec.serialize import result_from_dict, result_to_dict
 from repro.obs.export import build_manifest, write_manifest
 from repro.obs.sampler import IntervalSampler
-from repro.perf.clock import epoch_now, perf_now
+from repro.perf.clock import epoch_now, mono_now, perf_now
 from repro.perf.metrics import MetricsRegistry, get_registry
 from repro.robust.faults import apply_fault
 from repro.robust.report import (
@@ -135,10 +151,13 @@ class EngineStats:
     job_retries: int = 0       # extra attempts beyond each job's first
     jobs_timed_out: int = 0    # jobs whose every attempt hit the timeout
     jobs_failed: int = 0       # jobs with no result after all attempts
+    jobs_affine: int = 0       # pooled jobs sent to a worker that had
+                               # already simulated their (workload, scale)
 
     _FIELDS = ("jobs_requested", "jobs_unique", "memo_hits", "cache_hits",
                "fresh_runs", "cache_stores", "cache_quarantined",
-               "job_retries", "jobs_timed_out", "jobs_failed")
+               "job_retries", "jobs_timed_out", "jobs_failed",
+               "jobs_affine")
 
     def add(self, other: "EngineStats") -> None:
         for name in self._FIELDS:
@@ -160,6 +179,9 @@ class EngineStats:
             extras.append(f"{self.jobs_timed_out} timed out")
         if self.jobs_failed:
             extras.append(f"{self.jobs_failed} failed")
+        if self.jobs_affine:
+            extras.append(f"{self.jobs_affine} affine dispatch"
+                          f"{'' if self.jobs_affine == 1 else 'es'}")
         if extras:
             text += "; " + ", ".join(extras)
         return text
@@ -241,6 +263,45 @@ def kill_pool(pool: ProcessPoolExecutor) -> None:
         for process in list(processes.values()):
             process.terminate()
     pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _affinity(job: Job) -> tuple[str, int]:
+    """What a worker's per-process memos hold for a job: its program,
+    length count, warmed state and compiled runs are all per
+    ``(workload, scale)``."""
+    return job.workload, job.scale
+
+
+def pick_job(pending: Sequence[Job], holds: Mapping[int, set],
+             running: Iterable[Job], pid: int | None) -> tuple[int, int]:
+    """The fan-out dispatch rule: which pending job a freed worker gets.
+
+    ``pending`` is oldest first; ``holds`` maps each worker pid seen
+    this round to the ``(workload, scale)`` pairs it has simulated;
+    ``running`` is the jobs in flight; ``pid`` is the freed worker, or
+    ``None`` when it is unknown (the initial fill, or its job raised).
+    Returns ``(index into pending, rule)``, by the first rule that
+    matches:
+
+    1. the oldest job whose ``(workload, scale)`` the worker holds, so
+       its memos serve the job;
+    2. the oldest job whose ``(workload, scale)`` no other worker holds
+       and no running job shares, so the workloads spread over the
+       workers;
+    3. the oldest job.
+    """
+    mine = holds.get(pid, ())
+    for index, job in enumerate(pending):
+        if _affinity(job) in mine:
+            return index, 1
+    taken = {_affinity(job) for job in running}
+    for other, held in holds.items():
+        if other != pid:
+            taken |= held
+    for index, job in enumerate(pending):
+        if _affinity(job) not in taken:
+            return index, 2
+    return 0, 3
 
 
 class _Attempts:
@@ -478,9 +539,10 @@ class RunEngine:
                         report: RunReport) -> dict[tuple, dict]:
         """Fan-out execution with pool-break recovery.
 
-        Round structure: a **fan-out** round submits every pending job
-        to one shared pool; a job is charged an attempt only for its
-        *own* worker exception or its own expired timeout.  A pool
+        Round structure: a **fan-out** round runs the pending jobs on
+        one shared pool, placed by :func:`pick_job`; a job is charged
+        an attempt only for its *own* worker exception or its own
+        expired timeout.  A pool
         break (dead child, or a hung job the engine had to kill the
         pool over) charges nobody for the collateral — the unfinished
         jobs requeue, and the next round runs in **isolation**: each
@@ -515,71 +577,109 @@ class RunEngine:
     def _fanout_round(self, pending: list[Job], attempts: _Attempts,
                       report: RunReport, payloads: dict[tuple, dict],
                       ) -> tuple[list[Job], bool]:
-        """One shared-pool round; returns (still pending, pool broke)."""
+        """One shared-pool round; returns (still pending, pool broke).
+
+        One job is in flight per worker, so the one idle worker takes
+        each submission.  Jobs are harvested as they complete, and each
+        freed worker, named by the pid its payload carries, gets the
+        job :func:`pick_job` chooses.  Each job's timeout runs from its
+        own dispatch.
+        """
         ctx = self.ctx
         workers = min(ctx.jobs, len(pending))
         pool = ProcessPoolExecutor(max_workers=workers)
-        submits: dict[tuple, float] = {}
-        futures: list[tuple[Job, Future]] = []
-        for job in pending:
-            submits[job.key] = epoch_now()
-            futures.append(
-                (job, pool.submit(_simulate, job, ctx.wants_obs,
-                                  ctx.fault_for(job.workload),
-                                  ctx.backend)))
+        round_start = epoch_now()
+        queue = list(pending)
+        holds: dict[int, set[tuple[str, int]]] = {}
+        # future -> (job, dispatch epoch, dispatch monotonic time)
+        running: dict[Future, tuple[Job, float, float]] = {}
         requeue: list[Job] = []
+        freed: list[int | None] = [None] * workers
         broke = False
-        for job, future in futures:
-            if broke:
-                # The pool is already down: harvest finished results,
-                # requeue the rest without charging anyone.
-                if future.done() and not future.cancelled():
-                    self._harvest_done(job, future, attempts, report,
-                                       payloads, requeue,
-                                       submits[job.key])
-                else:
+        while not broke:
+            for pid in freed:
+                if not queue:
+                    break
+                index, rule = pick_job(
+                    queue, holds, [job for job, _, _ in running.values()],
+                    pid)
+                job = queue[index]
+                try:
+                    future = pool.submit(_simulate, job, ctx.wants_obs,
+                                         ctx.fault_for(job.workload),
+                                         ctx.backend)
+                except BrokenExecutor:
+                    # A child died since the last harvest; its future
+                    # will report the break.
+                    broke = True
+                    break
+                del queue[index]
+                if rule == 1:
+                    self._bump(jobs_affine=1)
+                running[future] = (job, epoch_now(), mono_now())
+            if broke or not running:
+                break
+            timeout = None
+            if ctx.timeout is not None:
+                earliest = min(started for _, _, started in running.values())
+                timeout = max(0.0, earliest + ctx.timeout - mono_now())
+            wait(running, timeout=timeout, return_when=FIRST_COMPLETED)
+            freed = []
+            for future in [f for f in running if f.done()]:
+                job, dispatched, _ = running.pop(future)
+                try:
+                    pid = self._harvest(job, future, dispatched,
+                                        round_start, attempts, report,
+                                        payloads, requeue)
+                except (BrokenExecutor, CancelledError) as err:
+                    # A child died.  Every unfinished future fails with
+                    # this, so the victim cannot be attributed: charge
+                    # nobody, requeue everything unfinished, isolate
+                    # next round.
                     requeue.append(job)
+                    attempts.last_error.setdefault(
+                        job.key, f"pool broke: {type(err).__name__}: {err}")
+                    broke = True
+                    continue
+                if pid is not None:
+                    holds.setdefault(pid, set()).add(_affinity(job))
+                freed.append(pid)
+            if broke or ctx.timeout is None:
                 continue
-            try:
-                payload = future.result(timeout=ctx.timeout)
-            except FutureTimeout:
-                # This job's own deadline expired: charged.  The only
-                # way to reclaim the wedged worker is to put the whole
-                # pool down; the collateral jobs requeue uncharged.
-                attempts.charge(job, TIMED_OUT,
-                                f"no result within {ctx.timeout}s",
-                                wall=ctx.timeout or 0.0)
-                self._trace_attempt(job, attempts.count[job.key],
-                                    "timeout",
-                                    submit_epoch=submits[job.key])
-                self._finish_or_requeue(job, attempts, report, requeue)
-                kill_pool(pool)
-                broke = True
-            except (BrokenExecutor, CancelledError) as err:
-                # A child died.  Every pending future fails with this,
-                # so the victim cannot be attributed: charge nobody,
-                # requeue everything unfinished, isolate next round.
-                requeue.append(job)
-                attempts.last_error.setdefault(
-                    job.key, f"pool broke: {type(err).__name__}: {err}")
-                broke = True
-            except Exception as err:  # noqa: BLE001 — worker boundary
-                attempts.charge(job, FAILED,
-                                f"{type(err).__name__}: {err}",
-                                wall=epoch_now() - submits[job.key])
-                self._trace_attempt(job, attempts.count[job.key],
-                                    "error",
-                                    submit_epoch=submits[job.key])
-                self._finish_or_requeue(job, attempts, report, requeue)
-            else:
-                payloads[job.key] = payload
-                self._finish_success(job, payload, attempts, report,
-                                     submit_epoch=submits[job.key])
+            now = mono_now()
+            for future, (job, dispatched, started) in list(running.items()):
+                if now - started >= ctx.timeout and not future.done():
+                    # This job's own deadline expired: charged.  The
+                    # only way to reclaim the wedged worker is to put
+                    # the whole pool down; the collateral jobs requeue
+                    # uncharged.
+                    del running[future]
+                    attempts.charge(job, TIMED_OUT,
+                                    f"no result within {ctx.timeout}s",
+                                    wall=ctx.timeout)
+                    self._trace_attempt(job, attempts.count[job.key],
+                                        "timeout", submit_epoch=dispatched)
+                    self._finish_or_requeue(job, attempts, report, requeue)
+                    broke = True
         if broke:
             kill_pool(pool)
+            # Harvest what finished before the pool went down; requeue
+            # the rest without charging anyone.
+            for future, (job, dispatched, _) in running.items():
+                if not future.done():
+                    requeue.append(job)
+                    continue
+                try:
+                    self._harvest(job, future, dispatched, round_start,
+                                  attempts, report, payloads, requeue)
+                except (BrokenExecutor, CancelledError):
+                    requeue.append(job)
+            requeue.extend(queue)
         else:
             pool.shutdown(wait=True)
-        return requeue, broke
+        # Back in submission order, so "oldest" keeps its meaning.
+        requeued = {job.key for job in requeue}
+        return [job for job in pending if job.key in requeued], broke
 
     def _isolation_round(self, pending: list[Job], attempts: _Attempts,
                          report: RunReport,
@@ -627,24 +727,30 @@ class RunEngine:
 
     # ------------------------------------------------- execute plumbing
 
-    def _harvest_done(self, job: Job, future: Future, attempts: _Attempts,
-                      report: RunReport, payloads: dict[tuple, dict],
-                      requeue: list[Job], submit_epoch: float) -> None:
-        """Collect a future that finished before the pool went down."""
+    def _harvest(self, job: Job, future: Future, dispatched: float,
+                 round_start: float, attempts: _Attempts,
+                 report: RunReport, payloads: dict[tuple, dict],
+                 requeue: list[Job]) -> int | None:
+        """Book one finished fan-out future.  Returns the worker's pid
+        on success and ``None`` when the job raised (the pid is then
+        unknown); a broken pool's ``BrokenExecutor`` or
+        ``CancelledError`` propagates to the caller, which charges
+        nobody for it."""
         try:
             payload = future.result(timeout=0)
         except (BrokenExecutor, CancelledError):
-            requeue.append(job)
+            raise
         except Exception as err:  # noqa: BLE001 — worker boundary
             attempts.charge(job, FAILED, f"{type(err).__name__}: {err}",
-                            wall=epoch_now() - submit_epoch)
+                            wall=epoch_now() - dispatched)
             self._trace_attempt(job, attempts.count[job.key], "error",
-                                submit_epoch=submit_epoch)
+                                submit_epoch=dispatched)
             self._finish_or_requeue(job, attempts, report, requeue)
-        else:
-            payloads[job.key] = payload
-            self._finish_success(job, payload, attempts, report,
-                                 submit_epoch=submit_epoch)
+            return None
+        payloads[job.key] = payload
+        self._finish_success(job, payload, attempts, report,
+                             submit_epoch=round_start)
+        return payload["timing"]["pid"]
 
     def _finish_success(self, job: Job, payload: dict,
                         attempts: _Attempts, report: RunReport,
@@ -668,8 +774,9 @@ class RunEngine:
         :meth:`~repro.perf.trace.SpanTracer.accounting` matching the
         :class:`~repro.robust.report.RunReport` exactly.  Successful
         attempts use the worker's own phase stamps (plus a
-        ``queue.wait`` span from submission to worker start); failures
-        span from submission to the engine noticing."""
+        ``queue.wait`` span from ``submit_epoch`` to worker start: a
+        fan-out round passes its own start); failures span from
+        ``submit_epoch``, their dispatch, to the engine noticing."""
         tracer = self.tracer
         if tracer is None:
             return

@@ -715,6 +715,12 @@ class FastMachine:
             # Entries popped but not issued (replay window, exhausted
             # units) go to ``aside`` and return to the heap after the
             # pass — the reference leaves them pending the same way.
+            # Every entry on the heap was dispatched in an earlier
+            # cycle (dispatch pushes after this stage; wakeups and
+            # replay traps push in a later cycle's writeback), and
+            # none has issued (issue pops it; a replay trap clears
+            # E_ISSUED before pushing it back), so only squashed
+            # entries are stale.
             if ready:
                 slots = issue_width
                 alus = int_alus
@@ -727,13 +733,11 @@ class FastMachine:
                 aside = None
                 while ready:
                     e = ready[0]
-                    if e[5] or e[7]:
-                        heappop(ready)     # stale: issued or squashed
+                    if e[7]:
+                        heappop(ready)     # stale: squashed
                         continue
                     if slots <= 0 and not (pack_on and packs):
                         break
-                    if e[3] >= cycle:
-                        break   # dispatched this cycle: issues later
                     heappop(ready)
                     if e[10] and cycle < e[11]:
                         # serving a replay re-issue window

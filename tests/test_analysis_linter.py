@@ -168,3 +168,12 @@ def test_empty_check_is_a_usage_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "sound" not in captured.out
+
+
+def test_unknown_workload_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main(["go", "nope", "--summary"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert "unknown workload(s): nope" in captured.err
+    assert captured.out == ""      # go was not analyzed either

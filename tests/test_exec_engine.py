@@ -22,7 +22,7 @@ from repro.exec import (
     RunEngine,
     clear_memo,
 )
-from repro.exec.engine import _MEMO
+from repro.exec.engine import _MEMO, pick_job
 
 
 def counters(result) -> tuple:
@@ -71,6 +71,64 @@ class TestDeterminismAcrossTiers:
         # Same committed work; packing can only change cycles.
         assert (results[JOB_GO.key].stats.committed
                 == results[JOB_GO_PACKED.key].stats.committed)
+
+
+class TestPoolPlacement:
+    """The fan-out dispatch rule (:func:`pick_job`) as a pure function,
+    then through a real pool."""
+
+    GCC = Job("gcc", BASELINE, 1)
+    PERL = Job("perl", BASELINE, 1)
+    GO_X2 = Job("go", BASELINE, 2)
+
+    def test_freed_worker_takes_the_oldest_job_it_holds(self):
+        pending = [self.GCC, JOB_GO_PACKED, JOB_GO]
+        holds = {7: {("go", 1)}, 8: {("gcc", 1)}}
+        assert pick_job(pending, holds, [self.PERL], 7) == (1, 1)
+        assert pick_job(pending, holds, [self.PERL], 8) == (0, 1)
+
+    def test_scale_is_part_of_what_a_worker_holds(self):
+        holds = {7: {("go", 1)}}
+        assert pick_job([self.GO_X2], holds, [], 7) == (0, 2)
+
+    def test_otherwise_oldest_job_no_other_worker_holds_or_runs(self):
+        # gcc is held by busy worker 8, perl is running: go is free.
+        pending = [self.GCC, self.PERL, JOB_GO]
+        holds = {7: {("ijpeg", 1)}, 8: {("gcc", 1)}}
+        assert pick_job(pending, holds, [self.PERL], 7) == (2, 2)
+
+    def test_unknown_pid_spreads_but_never_claims_affinity(self):
+        # The initial fill, or a worker whose job raised: rules 2 and 3.
+        assert pick_job([JOB_GO, JOB_GO_PACKED, self.GCC], {},
+                        [JOB_GO], None) == (2, 2)
+        holds = {7: {("go", 1)}}
+        assert pick_job([JOB_GO_PACKED, self.GCC], holds, [],
+                        None) == (1, 2)
+        assert pick_job([JOB_GO_PACKED], holds, [], None) == (0, 3)
+
+    def test_tail_falls_back_to_the_oldest_job(self):
+        pending = [self.GCC, JOB_GO_PACKED]
+        holds = {7: {("perl", 1)}, 8: {("gcc", 1)}}
+        assert pick_job(pending, holds, [JOB_GO], 7) == (0, 3)
+
+    def test_third_job_of_one_workload_goes_to_a_warm_worker(self):
+        # The third job is dispatched only after a worker has finished
+        # one of the first two, so it is affine whatever the timing.
+        jobs = [JOB_GO, JOB_GO_PACKED,
+                Job("go", BASELINE.with_packing(replay=True), 1)]
+        clear_memo()
+        serial = RunEngine(RunContext(use_cache=False, backend="fast")
+                           ).run_jobs(jobs)
+        clear_memo()
+        engine = RunEngine(RunContext(use_cache=False, backend="fast",
+                                      jobs=2))
+        pooled = engine.run_jobs(jobs)
+        assert engine.stats.fresh_runs == 3
+        assert engine.stats.jobs_affine == 1
+        assert "; 1 affine dispatch" in engine.stats.summary()
+        assert list(pooled) == [job.key for job in jobs]
+        for job in jobs:
+            assert counters(pooled[job.key]) == counters(serial[job.key])
 
 
 class TestCacheFallback:
