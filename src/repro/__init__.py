@@ -18,8 +18,8 @@ The package provides:
 * :mod:`repro.obs` — observability: the pipeline event bus, interval
   sampler, top-down CPI stall attribution, and JSONL run artifacts
   (``repro-obs`` / ``repro-experiments --obs-out``);
-* :mod:`repro.exec` — the run engine: memo/disk-cache/fresh result
-  tiers, retries, timeouts, the sharded content-addressed store;
+* :mod:`repro.exec` — the run engine: disk cache or fresh
+  simulation, retries, timeouts, the sharded content-addressed store;
 * :mod:`repro.service` — the async experiment service: typed sweep
   submissions over HTTP with request coalescing and backpressure
   (``repro-serve`` / ``repro-sweep``).

@@ -9,10 +9,10 @@ over a process pool, and backing everything with an on-disk
 :class:`~repro.exec.cache.ResultCache` keyed by workload, scale, the
 config's stable fingerprint, and a schema version.
 
-All three result tiers (in-process memo, disk cache, fresh simulation
-— serial or pooled) produce bit-exact identical counters: every fresh
-result passes through the same lossless serialize/deserialize round
-trip the cache uses.
+Both result sources (the disk cache and fresh simulation, serial or
+pooled) produce bit-exact identical counters: every fresh result
+passes through the same lossless serialize/deserialize round trip the
+cache uses.
 """
 
 from repro.exec.cache import SCHEMA as CACHE_SCHEMA
@@ -23,12 +23,7 @@ from repro.exec.cli import (
     validate_engine_args,
 )
 from repro.exec.context import RunContext
-from repro.exec.engine import (
-    GLOBAL_STATS,
-    EngineStats,
-    RunEngine,
-    clear_memo,
-)
+from repro.exec.engine import EngineStats, RunEngine
 from repro.exec.jobs import Job, dedupe
 from repro.exec.serialize import result_from_dict, result_to_dict
 from repro.exec.shards import CAS_SCHEMA, CasLayoutError, ShardedResultCache
@@ -38,14 +33,12 @@ __all__ = [
     "CAS_SCHEMA",
     "CasLayoutError",
     "EngineStats",
-    "GLOBAL_STATS",
     "Job",
     "ResultCache",
     "RunContext",
     "RunEngine",
     "ShardedResultCache",
     "add_engine_arguments",
-    "clear_memo",
     "context_from_args",
     "dedupe",
     "result_from_dict",

@@ -53,8 +53,7 @@ def add_engine_arguments(parser: argparse.ArgumentParser,
                             "content-addressed store repro-serve "
                             "uses; entry bytes are identical)")
     group.add_argument("--no-cache", action="store_true",
-                       help="bypass every result cache tier (forces "
-                            "fresh simulation, stores nothing)")
+                       help="bypass the on-disk result cache")
     group.add_argument("--refresh", action="store_true",
                        help="ignore existing cache entries and "
                             "overwrite them with fresh runs")

@@ -32,7 +32,7 @@ class RunContext:
     #: instrumentation is requested, since probes only exist there).
     #: ``repro-equivalence`` is what compares the two.
     backend: str = "reference"
-    #: directory for the persistent result cache (None = memory only).
+    #: directory for the persistent result cache (None = no cache).
     cache_dir: Path | None = None
     #: on-disk layout under ``cache_dir``: ``"flat"`` (one directory of
     #: entries — the CLI default) or ``"cas"`` (the sharded
@@ -41,7 +41,7 @@ class RunContext:
     #: tenants fan out across shards).  Entry bytes are identical in
     #: both layouts; only the directory structure differs.
     cache_layout: str = "flat"
-    #: consult/populate the in-process memo and the on-disk cache.
+    #: read and write the on-disk cache.
     use_cache: bool = True
     #: ignore existing cache entries and overwrite them with fresh runs.
     refresh: bool = False

@@ -1,21 +1,22 @@
 """The run engine: schedule simulation jobs, merge results deterministically.
 
-The engine owns the three result tiers and consults them in order:
+An engine serves each job from one of two sources, in order:
 
-1. the **in-process memo** (shared by every engine in the process, so
-   figure renderers re-requesting a run after the engine pre-ran it pay
-   nothing — the old ``experiments.base._CACHE`` behavior);
-2. the **persistent on-disk cache** (:class:`~repro.exec.cache.ResultCache`),
+1. the **persistent on-disk cache** (:class:`~repro.exec.cache.ResultCache`),
    keyed by workload, scale, config fingerprint, and schema version, so
    a warm re-run of the full suite costs milliseconds;
-3. **fresh simulation** — in-process when ``ctx.jobs == 1``, fanned out
+2. **fresh simulation** — in-process when ``ctx.jobs == 1``, fanned out
    over a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise.
+
+Nothing outlives an engine but the disk cache: results reach the
+caller by value, one engine never serves another's result from memory,
+and a job that failed runs again when it is asked for again.
 
 Determinism: a pooled round harvests results in completion order, but
 the results, cache writes and metrics merge in job-submission order
 once the batch is done, and *every* fresh result — serial or pooled —
 passes through the same serialize/deserialize round trip the cache
-uses, so counters are bit-exact across all three tiers by construction,
+uses, so counters are bit-exact across both sources by construction,
 whichever worker ran which job.
 
 Placement: the job's program, length count, warmed state and compiled
@@ -46,12 +47,6 @@ raises a typed :class:`~repro.robust.report.SuiteFailure` when jobs
 ultimately fail, while :meth:`RunEngine.run_jobs_report` returns the
 survivors plus the report so callers can degrade gracefully.
 
-Jobs that ultimately failed are remembered for the life of the
-process (like the memo, cleared by :func:`clear_memo` or bypassed by
-``refresh``): a figure renderer re-requesting a failed job gets an
-immediate failed outcome instead of re-simulating — or worse,
-crashing — during the render phase.
-
 Observability (the performance layer, :mod:`repro.perf`): pass a
 :class:`~repro.perf.trace.SpanTracer` and the engine records one span
 tree per batch — schedule, per-job queue-wait, worker execute (with
@@ -67,10 +62,6 @@ parent's process-wide registry, and :class:`EngineStats` deltas mirror
 into ``engine.*`` counters there.  Timing metadata never enters the
 result payloads or the disk cache: cached bytes stay a pure function
 of (workload, config, scale).
-
-:data:`GLOBAL_STATS` accumulates over every engine in the process; the
-CLI's end-of-suite summary and the CI warm-cache check ("zero fresh
-simulations") read it.
 """
 
 from __future__ import annotations
@@ -114,26 +105,9 @@ from repro.workloads.registry import get_workload, resolve_warmup
 if TYPE_CHECKING:   # engine never imports the tracer at runtime
     from repro.perf.trace import SpanTracer
 
-#: Process-wide result memo, shared by all engines (the figure modules'
-#: ``run()`` functions hit it after the engine pre-ran their jobs).
-_MEMO: dict[tuple, RunResult] = {}
-
-#: Jobs that exhausted their retries this process: key -> (status,
-#: error).  Render-phase re-requests short-circuit to a failed outcome
-#: instead of re-simulating behind the suite's back.
-_FAILED: dict[tuple, tuple[str, str]] = {}
-
-
-def clear_memo() -> None:
-    """Drop every memoized result and failure marker (tests; the disk
-    cache is untouched)."""
-    _MEMO.clear()
-    _FAILED.clear()
-
-
 @dataclass
 class EngineStats:
-    """Where results came from, for one engine or process-wide.
+    """Where one engine's results came from.
 
     Every delta recorded here also increments the matching
     ``engine.<field>`` counter in the process-wide metrics registry
@@ -143,7 +117,6 @@ class EngineStats:
 
     jobs_requested: int = 0    # jobs passed to run_jobs (pre-dedup)
     jobs_unique: int = 0       # after dedup
-    memo_hits: int = 0         # served from the in-process memo
     cache_hits: int = 0        # rehydrated from the on-disk cache
     fresh_runs: int = 0        # actual simulations executed
     cache_stores: int = 0      # entries written to the on-disk cache
@@ -154,19 +127,9 @@ class EngineStats:
     jobs_affine: int = 0       # pooled jobs sent to a worker that had
                                # already simulated their (workload, scale)
 
-    _FIELDS = ("jobs_requested", "jobs_unique", "memo_hits", "cache_hits",
-               "fresh_runs", "cache_stores", "cache_quarantined",
-               "job_retries", "jobs_timed_out", "jobs_failed",
-               "jobs_affine")
-
-    def add(self, other: "EngineStats") -> None:
-        for name in self._FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def summary(self) -> str:
         text = (f"{self.fresh_runs} fresh, {self.cache_hits} from disk "
-                f"cache, {self.memo_hits} memoized "
-                f"({self.jobs_unique} unique of "
+                f"cache ({self.jobs_unique} unique of "
                 f"{self.jobs_requested} requested)")
         extras = []
         if self.cache_quarantined:
@@ -185,10 +148,6 @@ class EngineStats:
         if extras:
             text += "; " + ", ".join(extras)
         return text
-
-
-#: Accumulated over every engine in this process.
-GLOBAL_STATS = EngineStats()
 
 
 def _simulate(job: Job, obs: bool, fault: str | None = None,
@@ -407,18 +366,12 @@ class RunEngine:
         schedule = (tracer.begin("schedule", "engine")
                     if tracer is not None else None)
         for job in unique:
-            if job.key in _FAILED and not self.ctx.refresh:
-                status, error = _FAILED[job.key]
-                report.add(JobOutcome(job, status=status, attempts=0,
-                                      error=f"(failed earlier this "
-                                            f"process) {error}"))
-                continue
             t0 = perf_now()
-            result, source = self._recall(job)
+            result = self._recall(job)
             if result is not None:
                 results[job.key] = result
                 report.add(JobOutcome(job, status=OK, attempts=0,
-                                      source=source,
+                                      source="cache",
                                       wall_seconds=perf_now() - t0))
             else:
                 fresh.append(job)
@@ -440,33 +393,22 @@ class RunEngine:
 
     # ------------------------------------------------------------- recall
 
-    def _recall(self, job: Job) -> tuple[RunResult | None, str]:
-        """Serve a job from the memo or the disk cache, if allowed;
-        returns ``(result, tier)``."""
+    def _recall(self, job: Job) -> RunResult | None:
+        """Serve a job from the disk cache, if allowed."""
         ctx = self.ctx
         tracer = self.tracer
-        if not ctx.use_cache or ctx.refresh:
-            return None, "fresh"
-        result = _MEMO.get(job.key)
-        if result is not None:
-            self._bump(memo_hits=1)
-            if tracer is not None:
-                self._span_of[job.key] = tracer.instant(
-                    "cache.hit", "cache", job=job.stem(), tier="memo")
-            return result, "memo"
-        if self._cache is None:
-            return None, "fresh"
+        if not ctx.use_cache or ctx.refresh or self._cache is None:
+            return None
         t0 = tracer.now() if tracer is not None else 0.0
         entry = self._cache.load(job)
         if entry is None:
-            return None, "fresh"
+            return None
         if ctx.wants_obs and entry.get("manifest") is None:
             # Obs artifacts were requested but this entry was produced
             # without instrumentation: only a fresh run can supply them.
-            return None, "fresh"
+            return None
         result = result_from_dict(entry["result"], config=job.config)
         self._bump(cache_hits=1)
-        _MEMO[job.key] = result
         span = None
         if tracer is not None:
             span = tracer.add_rel("cache.hit", "cache", t0, tracer.now(),
@@ -477,7 +419,7 @@ class RunEngine:
             if span is not None:
                 manifest = {**manifest, "trace": {"span_id": span}}
             write_manifest(ctx.obs_dir, manifest, stem=job.stem())
-        return result, "cache"
+        return result
 
     # ------------------------------------------------------------ execute
 
@@ -497,7 +439,6 @@ class RunEngine:
         for job in fresh:
             outcome = report.outcome_of(job)
             if outcome is not None and not outcome.ok:
-                _FAILED[job.key] = (outcome.status, outcome.error or "")
                 if outcome.status == TIMED_OUT:
                     self._bump(jobs_timed_out=1)
                 else:
@@ -836,7 +777,7 @@ class RunEngine:
                 time.sleep(policy_delay)
 
     def _absorb(self, job: Job, payload: dict) -> RunResult:
-        """Rehydrate one fresh payload and feed every result tier.
+        """Rehydrate one fresh payload, store it, write its manifest.
 
         The worker's metrics snapshot merges into the process-wide
         registry here; its timing stamps were consumed by the tracer
@@ -847,17 +788,14 @@ class RunEngine:
         get_registry().merge(payload.get("metrics"))
         result = result_from_dict(payload["result"], config=job.config)
         self._bump(fresh_runs=1)
-        _FAILED.pop(job.key, None)
-        if ctx.use_cache:
-            _MEMO[job.key] = result
-            if self._cache is not None:
-                t0 = tracer.now() if tracer is not None else 0.0
-                self._cache.store(job, payload["result"],
-                                  manifest=payload["manifest"])
-                self._bump(cache_stores=1)
-                if tracer is not None:
-                    tracer.add_rel("cache.store", "cache", t0,
-                                   tracer.now(), job=job.stem())
+        if ctx.use_cache and self._cache is not None:
+            t0 = tracer.now() if tracer is not None else 0.0
+            self._cache.store(job, payload["result"],
+                              manifest=payload["manifest"])
+            self._bump(cache_stores=1)
+            if tracer is not None:
+                tracer.add_rel("cache.store", "cache", t0,
+                               tracer.now(), job=job.stem())
         if ctx.wants_obs and payload["manifest"] is not None:
             manifest = payload["manifest"]
             span = self._span_of.get(job.key)
@@ -872,7 +810,5 @@ class RunEngine:
         registry = get_registry()
         for name, delta in deltas.items():
             setattr(self.stats, name, getattr(self.stats, name) + delta)
-            setattr(GLOBAL_STATS, name,
-                    getattr(GLOBAL_STATS, name) + delta)
             if delta:
                 registry.counter(f"engine.{name}").inc(delta)

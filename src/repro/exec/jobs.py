@@ -2,7 +2,7 @@
 
 A :class:`Job` names one ``(workload, config, scale)`` simulation under
 the paper's methodology (fast-forward warmup, then the detailed
-window).  Jobs are hashable — the in-process memo keys on
+window).  Jobs are hashable — a batch's results are keyed by
 :attr:`Job.key` — and carry a stable content fingerprint
 (:meth:`Job.fingerprint`) that keys the persistent on-disk cache and
 the obs manifest filenames.
@@ -25,7 +25,7 @@ class Job:
 
     @property
     def key(self) -> tuple:
-        """In-process memo key (hash-based; not stable across runs)."""
+        """In-process result key (hash-based; not stable across runs)."""
         return (self.workload, self.config, self.scale)
 
     def fingerprint(self) -> str:

@@ -4,10 +4,15 @@ Every figure/table module builds on :func:`run_workload`, which applies
 the paper's methodology: assemble the benchmark, fast-forward through
 its initialization (Section 3.2's warmup), then run the detailed
 simulator to completion.  Execution is delegated to the run engine
-(:mod:`repro.exec`): results are memoized process-wide — e.g. Figure 6
-and Figure 7 share their baseline runs — and, when a
+(:mod:`repro.exec`), and, when a
 :class:`~repro.exec.context.RunContext` carries a cache directory,
-persisted on disk so later sessions skip the simulation entirely.
+results persist on disk so later sessions skip the simulation entirely.
+
+Each experiment's ``run()`` reads its runs through ``result(name,
+config, scale)``, :func:`run_workload` by default; ``repro-experiments``
+passes a lookup over the batch it ran, so rendering never simulates.
+:func:`run_workload` memoizes per job and context, so direct ``run()``
+callers still share runs (Figures 6 and 7 share their baseline suite).
 
 Obs directory, cache policy, and parallelism travel explicitly on the
 context — there is no module-global obs setter.  When the
@@ -37,25 +42,34 @@ MEDIA_ORDER = ("gsm-encode", "gsm-decode", "mpeg2-encode", "mpeg2-decode",
                "g721-encode", "g721-decode")
 ALL_ORDER = SPEC_ORDER + MEDIA_ORDER
 
-#: Fallback context used when a caller passes no explicit one.
-_DEFAULT_CONTEXT = RunContext()
+#: :func:`run_workload`'s results, by ``(job key, context)``.
+_RESULTS: dict[tuple, RunResult] = {}
 
 
 def run_workload(name: str, config: MachineConfig = BASELINE,
                  scale: int = 1, use_cache: bool = True,
                  ctx: RunContext | None = None) -> RunResult:
     """Run one benchmark under ``config`` with the paper's warmup
-    methodology, through the run engine's result tiers (process-wide
-    memo, optional disk cache, fresh simulation).
+    methodology, through the run engine (disk cache, then fresh
+    simulation).
 
-    ``ctx`` controls obs output, cache directories, and parallelism;
-    ``use_cache=False`` bypasses every cache tier for this call.
+    ``ctx`` (default: reference backend, one process, no disk cache)
+    controls obs output, cache directories, and parallelism.  Results
+    are memoized per job and context, so another backend or obs
+    directory never gets this one's result; ``use_cache=False``
+    bypasses the memo and the disk cache for this call.
     """
-    if ctx is None:
-        ctx = _DEFAULT_CONTEXT
-    if not use_cache and ctx.use_cache:
+    ctx = ctx or RunContext()
+    if not use_cache:
         ctx = replace(ctx, use_cache=False)
-    return RunEngine(ctx).run(Job(name, config, scale))
+    job = Job(name, config, scale)
+    if not ctx.use_cache:
+        return RunEngine(ctx).run(job)
+    key = (job.key, ctx)
+    result = _RESULTS.get(key)
+    if result is None:
+        result = _RESULTS[key] = RunEngine(ctx).run(job)
+    return result
 
 
 def spec_names() -> tuple[str, ...]:

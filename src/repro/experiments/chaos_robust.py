@@ -64,5 +64,5 @@ register(Experiment(
     name="chaos",
     description="fault injection: every fault masked or detected",
     jobs=jobs,
-    render=report,
+    render=lambda scale, result: report(scale),
 ))

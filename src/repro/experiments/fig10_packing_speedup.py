@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 from repro.experiments.base import (
     all_names,
     format_table,
@@ -66,14 +66,15 @@ class Fig10Result:
 
 
 def _speedup(name: str, config: MachineConfig, replay: bool,
-             scale: int) -> float:
-    base = run_workload(name, config, scale)
-    packed = run_workload(name, config.with_packing(replay=replay), scale)
+             scale: int, result: ResultFn) -> float:
+    base = result(name, config, scale)
+    packed = result(name, config.with_packing(replay=replay), scale)
     return speedup_pct(base.stats.cycles, packed.stats.cycles)
 
 
 def run(config: MachineConfig = BASELINE, scale: int = 1,
-        decode_width: int = 4, replay: bool = False) -> Fig10Result:
+        decode_width: int = 4, replay: bool = False,
+        result: ResultFn = run_workload) -> Fig10Result:
     if decode_width != config.decode_width:
         config = config.with_decode_width(decode_width)
     rows = []
@@ -81,9 +82,9 @@ def run(config: MachineConfig = BASELINE, scale: int = 1,
         rows.append(Fig10Row(
             benchmark=name,
             perfect_pct=_speedup(name, config.with_predictor("perfect"),
-                                 replay, scale),
+                                 replay, scale, result),
             realistic_pct=_speedup(name, config.with_predictor("combining"),
-                                   replay, scale),
+                                   replay, scale, result),
         ))
     return Fig10Result(decode_width=decode_width, replay=replay, rows=rows)
 
@@ -123,21 +124,23 @@ register(Experiment(
     description="Figure 10 — % speedup from operation packing "
                 "(4-wide decode)",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 register(Experiment(
     name="fig10-replay",
     description="Section 5.3 — packing speedup with replay packing",
     jobs=lambda scale: jobs(scale, replay=True),
-    render=lambda scale: report(run(scale=scale, replay=True)),
+    render=lambda scale, result: report(run(scale=scale, replay=True,
+                                            result=result)),
 ))
 
 register(Experiment(
     name="fig10-8wide",
     description="Section 5.4 — packing speedup at 8-wide decode",
     jobs=lambda scale: jobs(scale, decode_width=8),
-    render=lambda scale: report(run(scale=scale, decode_width=8)),
+    render=lambda scale, result: report(run(scale=scale, decode_width=8,
+                                            result=result)),
 ))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
 from repro.experiments.base import all_names, format_table, run_workload
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 
 
 @dataclass
@@ -43,16 +43,17 @@ class Fig11Result:
 
 
 def run(config: MachineConfig = BASELINE, scale: int = 1,
-        replay: bool = False) -> Fig11Result:
+        replay: bool = False,
+        result: ResultFn = run_workload) -> Fig11Result:
     packed_cfg = config.with_packing(replay=replay)
     wide_cfg = config.with_issue_width(8, 8)
     rows = []
     for name in all_names():
         rows.append(Fig11Row(
             benchmark=name,
-            baseline_ipc=run_workload(name, config, scale).ipc,
-            packed_ipc=run_workload(name, packed_cfg, scale).ipc,
-            wide_ipc=run_workload(name, wide_cfg, scale).ipc,
+            baseline_ipc=result(name, config, scale).ipc,
+            packed_ipc=result(name, packed_cfg, scale).ipc,
+            wide_ipc=result(name, wide_cfg, scale).ipc,
         ))
     return Fig11Result(rows=rows)
 
@@ -85,7 +86,7 @@ register(Experiment(
     name="fig11",
     description="Figure 11 — IPC: baseline vs packing vs 8-issue/8-ALU",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

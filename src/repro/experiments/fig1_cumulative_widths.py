@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
 from repro.experiments.base import format_table, run_workload, spec_names
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 
 #: Bit positions highlighted when printing the curve.
 LANDMARKS = (8, 16, 24, 32, 33, 48, 64)
@@ -38,15 +38,16 @@ class Fig1Result:
         return self.aggregate[bits - 1]
 
 
-def run(config: MachineConfig = BASELINE, scale: int = 1) -> Fig1Result:
+def run(config: MachineConfig = BASELINE, scale: int = 1,
+        result: ResultFn = run_workload) -> Fig1Result:
     curves: dict[str, list[float]] = {}
     totals = [0.0] * 64
     weights = 0
     for name in spec_names():
-        result = run_workload(name, config, scale)
-        curve = result.widths.cumulative_curve()
+        widths = result(name, config, scale).widths
+        curve = widths.cumulative_curve()
         curves[name] = curve
-        ops = result.widths.total
+        ops = widths.total
         for i, value in enumerate(curve):
             totals[i] += value * ops
         weights += ops
@@ -75,7 +76,7 @@ register(Experiment(
     name="fig1",
     description="Figure 1 — cumulative operand bitwidths (SPECint95)",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
 from repro.experiments.base import format_table, mean, run_workload, spec_names
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 
 
 @dataclass
@@ -43,13 +43,14 @@ class Fig2Result:
         return mean([r.realistic_pct for r in self.rows])
 
 
-def run(config: MachineConfig = BASELINE, scale: int = 1) -> Fig2Result:
+def run(config: MachineConfig = BASELINE, scale: int = 1,
+        result: ResultFn = run_workload) -> Fig2Result:
     rows = []
     perfect_cfg = config.with_predictor("perfect")
     realistic_cfg = config.with_predictor("combining")
     for name in spec_names():
-        perfect = run_workload(name, perfect_cfg, scale)
-        realistic = run_workload(name, realistic_cfg, scale)
+        perfect = result(name, perfect_cfg, scale)
+        realistic = result(name, realistic_cfg, scale)
         rows.append(Fig2Row(
             benchmark=name,
             perfect_pct=perfect.fluctuation.fluctuation_pct,
@@ -83,7 +84,7 @@ register(Experiment(
     description="Figure 2 — per-PC operand-width fluctuation, perfect "
                 "vs combining branch prediction",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
 from repro.experiments.base import all_names, format_table, run_workload
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 from repro.isa.opcodes import OpClass
 
 #: The classes Figure 4 breaks bars into.
@@ -43,11 +43,12 @@ class NarrowByClassResult:
 
 
 def run(config: MachineConfig = BASELINE, scale: int = 1,
-        cut: int = CUT) -> NarrowByClassResult:
+        cut: int = CUT,
+        result: ResultFn = run_workload) -> NarrowByClassResult:
     rows = []
     for name in all_names():
-        result = run_workload(name, config, scale)
-        by_class = result.widths.narrow_pct_by_class(cut)
+        widths = result(name, config, scale).widths
+        by_class = widths.narrow_pct_by_class(cut)
         rows.append(NarrowByClassRow(benchmark=name, by_class=by_class))
     return NarrowByClassResult(cut=cut, rows=rows)
 
@@ -77,7 +78,7 @@ register(Experiment(
     description="Figure 4 — operations with both operands <= 16 bits, "
                 "by class",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

@@ -19,14 +19,15 @@ from repro.experiments.fig4_narrow16_by_class import (
     report as _report,
     run as _run,
 )
-from repro.experiments.registry import Experiment, register
+from repro.experiments.base import run_workload
+from repro.experiments.registry import Experiment, ResultFn, register
 
 CUT = 33
 
 
-def run(config: MachineConfig = BASELINE,
-        scale: int = 1) -> NarrowByClassResult:
-    return _run(config, scale, cut=CUT)
+def run(config: MachineConfig = BASELINE, scale: int = 1,
+        result: ResultFn = run_workload) -> NarrowByClassResult:
+    return _run(config, scale, cut=CUT, result=result)
 
 
 def report(result: NarrowByClassResult) -> str:
@@ -45,7 +46,7 @@ register(Experiment(
     description="Figure 5 — operations with both operands <= 33 bits, "
                 "by class",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
 from repro.experiments.base import all_names, format_table, run_workload
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 
 
 @dataclass
@@ -34,11 +34,11 @@ class Fig6Result:
     rows: list[Fig6Row]
 
 
-def run(config: MachineConfig = BASELINE, scale: int = 1) -> Fig6Result:
+def run(config: MachineConfig = BASELINE, scale: int = 1,
+        result: ResultFn = run_workload) -> Fig6Result:
     rows = []
     for name in all_names():
-        result = run_workload(name, config, scale)
-        power = result.power
+        power = result(name, config, scale).power
         rows.append(Fig6Row(
             benchmark=name,
             saved16=power.saved16,
@@ -69,7 +69,7 @@ register(Experiment(
     name="fig6",
     description="Figure 6 — net per-cycle power saved by clock gating",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

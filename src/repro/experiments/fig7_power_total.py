@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 from repro.experiments.base import (
     all_names,
     format_table,
@@ -57,14 +57,15 @@ class Fig7Result:
         return self._suite_mean(media_names())
 
 
-def run(config: MachineConfig = BASELINE, scale: int = 1) -> Fig7Result:
+def run(config: MachineConfig = BASELINE, scale: int = 1,
+        result: ResultFn = run_workload) -> Fig7Result:
     rows = []
     for name in all_names():
-        result = run_workload(name, config, scale)
+        power = result(name, config, scale).power
         rows.append(Fig7Row(
             benchmark=name,
-            baseline_mw=result.power.baseline,
-            gated_mw=result.power.gated,
+            baseline_mw=power.baseline,
+            gated_mw=power.gated,
         ))
     return Fig7Result(rows=rows)
 
@@ -91,7 +92,7 @@ register(Experiment(
     name="fig7",
     description="Figure 7 — integer-unit power, baseline vs gated",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

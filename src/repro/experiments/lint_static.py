@@ -4,9 +4,8 @@ Not a paper figure: a repro-quality report.  For every benchmark the
 static analyzer (:mod:`repro.analysis`) computes which results are
 *provably* narrow and which operations could *ever* pack; the dynamic
 side of each column comes from the same packed simulations Figure 10
-renders, through the run engine's memo/disk cache — so after a
-``repro-experiments fig10`` pass this report performs no fresh
-simulation at all.
+renders, so ``repro-experiments fig10 lint`` runs each of them once,
+and a warm disk cache serves them without simulating.
 
 The static and dynamic columns weight differently — static counts each
 instruction once, dynamic weights by execution frequency (and measures
@@ -25,7 +24,7 @@ from repro.analysis.linter import lint_program
 from repro.core.config import BASELINE
 from repro.exec.jobs import Job
 from repro.experiments.base import all_names, format_table, run_workload
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 from repro.workloads.registry import get_workload
 
 #: The packed, realistic-predictor configuration — byte-identical to
@@ -38,7 +37,7 @@ def jobs(scale: int = 1) -> list[Job]:
     return [Job(name, _PACKED, scale) for name in all_names()]
 
 
-def report(scale: int = 1) -> str:
+def report(scale: int = 1, result: ResultFn = run_workload) -> str:
     headers = ["benchmark", "insts", "stat n16%", "dyn n16%",
                "stat n33%", "dyn n33%", "stat pack%", "dyn pack%",
                "lint"]
@@ -51,18 +50,18 @@ def report(scale: int = 1) -> str:
         results = summary["results"] or 1
         reachable = summary["reachable"] or 1
 
-        result = run_workload(name, _PACKED, scale)
-        issued = result.stats.issued or 1
+        dynamic = result(name, _PACKED, scale)
+        issued = dynamic.stats.issued or 1
         rows.append([
             name,
             summary["instructions"],
             100.0 * summary["narrow16_results"] / results,
-            result.widths.cumulative_pct(16),
+            dynamic.widths.cumulative_pct(16),
             100.0 * summary["narrow33_results"] / results,
-            result.widths.cumulative_pct(33),
+            dynamic.widths.cumulative_pct(33),
             100.0 * (summary["full_pack_candidates"]
                      + summary["replay_pack_candidates"]) / reachable,
-            100.0 * result.stats.packed_ops / issued,
+            100.0 * dynamic.stats.packed_ops / issued,
             len(diags),
         ])
     title = ("Static width analysis vs dynamic measurement "

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.config import BASELINE, MachineConfig
 from repro.exec.jobs import Job
-from repro.experiments.registry import Experiment, register
+from repro.experiments.registry import Experiment, ResultFn, register
 from repro.experiments.base import (
     all_names,
     format_table,
@@ -56,14 +56,14 @@ class LoadDetectResult:
         return self._suite_mean(media_names())
 
 
-def run(config: MachineConfig = BASELINE,
-        scale: int = 1) -> LoadDetectResult:
+def run(config: MachineConfig = BASELINE, scale: int = 1,
+        result: ResultFn = run_workload) -> LoadDetectResult:
     no_loads = config.with_gating(
         replace(config.gating, detect_loads=False))
     rows = []
     for name in all_names():
-        with_detect = run_workload(name, config, scale)
-        without = run_workload(name, no_loads, scale)
+        with_detect = result(name, config, scale)
+        without = result(name, no_loads, scale)
         rows.append(LoadDetectRow(
             benchmark=name,
             load_dependent_pct=with_detect.power.load_dependent_pct,
@@ -103,7 +103,7 @@ register(Experiment(
     description="Section 4.2 — gated operations fed directly by loads, "
                 "and the cost of omitting load zero-detect",
     jobs=jobs,
-    render=lambda scale: report(run(scale=scale)),
+    render=lambda scale, result: report(run(scale=scale, result=result)),
 ))
 
 

@@ -12,16 +12,21 @@ The registry is the single discovery point: the CLI runner
 rendering is what enables the engine to deduplicate jobs *across*
 figures (Figures 6 and 7 share their baseline suite; Figures 10 and 11
 share the packed runs) and to fan the union out over a process pool
-before any report is rendered — the renderers then hit the process-wide
-memo and perform zero fresh simulations.
+before any report is rendered — each renderer then reads its results
+from that batch and performs zero fresh simulations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.config import MachineConfig
+from repro.core.machine import RunResult
 from repro.exec.jobs import Job
+
+#: ``result(name, config, scale)``: where a renderer gets each run.
+ResultFn = Callable[[str, MachineConfig, int], RunResult]
 
 
 @dataclass(frozen=True)
@@ -33,12 +38,9 @@ class Experiment:
     #: scale -> the simulation jobs this experiment's renderer will
     #: consume (empty for pure-configuration tables).
     jobs: Callable[[int], list[Job]]
-    #: scale -> the finished report text.
-    render: Callable[[int], str]
-
-    def __call__(self, scale: int = 1) -> str:
-        """Back-compat callable form (the old runner lambda table)."""
-        return self.render(scale)
+    #: (scale, result) -> the finished report text; ``result`` serves
+    #: every job in ``jobs(scale)``.
+    render: Callable[[int, ResultFn], str]
 
 
 _REGISTRY: dict[str, Experiment] = {}

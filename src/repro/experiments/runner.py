@@ -12,9 +12,10 @@ Execution goes through the run engine (:mod:`repro.exec`): the union of
 every selected experiment's declared job set is deduplicated (figures
 share runs — 6/7 the baseline suite, 10/11 the packed runs), fanned out
 across ``--jobs`` worker processes, and backed by the persistent result
-cache under ``--cache-dir``, after which each report renders from the
-warm in-process memo.  A warm-cache rerun of the full suite performs
-zero fresh simulations.
+cache under ``--cache-dir``, after which each report renders from that
+batch's results: rendering never simulates, and an experiment whose
+jobs failed is reported as not rendered.  A warm-cache rerun of the
+full suite performs zero fresh simulations.
 
 Stream contract: **stdout carries only the rendered tables and
 figures** (machine-parseable, diffable against committed goldens);
@@ -33,7 +34,9 @@ import argparse
 import sys
 import time
 
-from repro.exec import GLOBAL_STATS, RunEngine
+from repro.core.config import MachineConfig
+from repro.core.machine import RunResult
+from repro.exec import Job, RunEngine
 from repro.exec.cli import (
     add_engine_arguments,
     context_from_args,
@@ -42,14 +45,16 @@ from repro.exec.cli import (
 from repro.perf.metrics import get_registry
 from repro.robust.faults import parse_token
 from repro.experiments.registry import (
-    Experiment,
+    ResultFn,
     all_experiments,
     experiment_names,
 )
 
-#: Back-compat view of the registry (the old module-level lambda table;
-#: :class:`Experiment` is callable with a scale, like the lambdas were).
-EXPERIMENTS: dict[str, Experiment] = all_experiments()
+# Import every experiment module now, with the runner: each binds the
+# functions it calls by name (``from repro.analysis.dataflow import
+# analyze``), and perfbench's layer tracer must see those bindings
+# before it wraps the functions.
+experiment_names()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,6 +108,20 @@ def _check_trace_accounting(tracer, report) -> list[str]:
     return problems
 
 
+def batch_results(results: dict[tuple, RunResult]) -> ResultFn:
+    """A renderer's ``result`` function over one batch's results (keyed
+    by :attr:`Job.key`); a job the batch has no result for, because it
+    failed or was never declared, raises ``LookupError`` naming it."""
+    def result(name: str, config: MachineConfig, scale: int) -> RunResult:
+        job = Job(name, config, scale)
+        try:
+            return results[job.key]
+        except KeyError:
+            raise LookupError(f"no result for job {job.stem()} in this "
+                              f"batch") from None
+    return result
+
+
 def _parse_faults(specs: list[str],
                   parser: argparse.ArgumentParser) -> tuple:
     faults = []
@@ -148,9 +167,10 @@ def main(argv: list[str] | None = None) -> int:
 
     suite_start = time.time()
     # Phase 1: execute the union of every selected experiment's job set
-    # (deduplicated, parallel, cached).  Renderers then hit the memo.
+    # (deduplicated, parallel, cached).  Renderers read its results.
     jobs = [job for exp in selected for job in exp.jobs(args.scale)]
-    _, report = engine.run_jobs_report(jobs)
+    results, report = engine.run_jobs_report(jobs)
+    result = batch_results(results)
     banner = report.banner()
     if banner is not None:
         print(banner + "\n", file=sys.stderr)
@@ -161,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     for exp in selected:
         start = time.time()
         try:
-            print(exp.render(args.scale))
+            print(exp.render(args.scale, result))
         except Exception as err:  # noqa: BLE001 — degrade, don't crash
             render_failures += 1
             print(f"[{exp.name} NOT rendered: "
@@ -172,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"[{len(selected)} experiment(s) in "
           f"{time.time() - suite_start:.1f}s total; "
-          f"engine: {GLOBAL_STATS.summary()}]", file=sys.stderr)
+          f"engine: {engine.stats.summary()}]", file=sys.stderr)
     if args.obs_out:
         print(f"[obs manifests in {args.obs_out}]", file=sys.stderr)
 

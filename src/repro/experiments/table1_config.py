@@ -66,7 +66,7 @@ register(Experiment(
     description="Table 1 — baseline configuration of the simulated "
                 "processor",
     jobs=jobs,
-    render=lambda scale: report(),
+    render=lambda scale, result: report(),
 ))
 
 

@@ -58,7 +58,7 @@ register(Experiment(
     name="table4",
     description="Table 4 — estimated power of the functional units",
     jobs=jobs,
-    render=lambda scale: report(),
+    render=lambda scale, result: report(),
 ))
 
 

@@ -265,7 +265,7 @@ def cache_chaos(cache_dir, mode: str = "bitflip",
 
     from repro.core.config import BASELINE as _BASELINE
     from repro.exec.context import RunContext
-    from repro.exec.engine import RunEngine, clear_memo
+    from repro.exec.engine import RunEngine
     from repro.exec.jobs import Job
 
     job = Job(workload=workload, config=_BASELINE, scale=scale)
@@ -275,9 +275,6 @@ def cache_chaos(cache_dir, mode: str = "bitflip",
         ctx = _replace(ctx, cache_dir=cache_dir, obs_dir=None,
                        use_cache=True, refresh=False)
 
-    # Start from a cold memo so the clean run actually simulates and
-    # stores a disk entry (a memo hit would leave the cache tier empty).
-    clear_memo()
     clean = RunEngine(ctx).run_jobs([job])[job.key]
     if ctx.cache_layout == "cas":
         from repro.exec.shards import ShardedResultCache
@@ -291,7 +288,6 @@ def cache_chaos(cache_dir, mode: str = "bitflip",
     path = entry_paths[0]
     detail = corrupt_file(path, mode=mode, seed=seed)
 
-    clear_memo()
     engine = RunEngine(ctx)
     recovered = engine.run_jobs([job])[job.key]
 

@@ -49,9 +49,9 @@ class JobOutcome:
     job: Job
     status: str = OK
     #: attempts actually made (1 = first try succeeded; 0 = served from
-    #: a cache tier, no execution needed).
+    #: the disk cache, no execution needed).
     attempts: int = 1
-    #: where the result came from: "memo" | "cache" | "fresh".
+    #: where the result came from: "cache" | "fresh".
     source: str = "fresh"
     #: stringified terminal error for failed/timed-out jobs.
     error: str | None = None

@@ -23,9 +23,9 @@ Every scenario is hermetic: it builds its own service (and, where the
 fault lives in the transport, its own real HTTP front end on a private
 event loop) inside a temporary directory, and compares served payloads
 against :func:`_expected_bytes` — canonical result bytes computed by a
-direct :class:`~repro.exec.engine.RunEngine` run with the process memo
-disabled, so "byte-identical" is proven against a true re-simulation,
-never against a shared in-memory object.
+direct :class:`~repro.exec.engine.RunEngine` run with no disk cache,
+so "byte-identical" is proven against a true re-simulation, never
+against a shared in-memory object.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import threading
 from pathlib import Path
 
 from repro.exec.context import RunContext
-from repro.exec.engine import RunEngine, clear_memo
+from repro.exec.engine import RunEngine
 from repro.exec.serialize import result_to_dict
 from repro.exec.shards import ShardedResultCache
 from repro.perf.metrics import get_registry
@@ -73,10 +73,7 @@ _WAIT = 120.0
 
 
 def _service_ctx(root: Path) -> RunContext:
-    """The scenario services run the CAS layout.  Callers pair this
-    with :func:`~repro.exec.engine.clear_memo` — the process-wide
-    result memo would otherwise serve jobs from memory and bypass the
-    very disk/journal tiers the scenarios corrupt."""
+    """The scenario services run the CAS layout."""
     return RunContext(cache_dir=root / "cas", cache_layout="cas",
                       obs_dir=None, jobs=1)
 
@@ -85,7 +82,6 @@ def _expected_bytes(workload: str = WORKLOAD) -> bytes:
     """Canonical result bytes from a direct local engine run — the
     truth every scenario's served payload is compared against."""
     job = JobSpec(workload=workload).resolve()
-    clear_memo()
     ctx = RunContext(cache_dir=None, obs_dir=None, jobs=1)
     result = RunEngine(ctx).run_jobs([job])[job.key]
     return canonical_result_bytes(result_to_dict(result))
@@ -125,7 +121,6 @@ def worker_death(root: Path, seed: int, expected: bytes) -> ChaosOutcome:
     (``worker-crash``), the thread must survive to serve the retry,
     and the retry must land byte-identical."""
     name = "svc-worker-death"
-    clear_memo()
     service = _CrashingService(_service_ctx(root), workers=1,
                                breaker_threshold=100,
                                journal_dir=None, crashes=1).start()
@@ -217,7 +212,6 @@ def _resume_and_check(root: Path, sweep_ids: list[str],
     """Restart a service over the (damaged) journal, wait for the
     given sweeps, compare served bytes.  None on success, else the
     failure detail."""
-    clear_memo()
     service = ExperimentService(_service_ctx(root), workers=1,
                                 journal_dir=root / "journal").start()
     try:
@@ -287,7 +281,6 @@ def journal_bitflip(root: Path, seed: int,
     path.write_bytes(b"\n".join(lines))
     bad_counter = get_registry().counter("service.journal.bad_records")
     before = bad_counter.value
-    clear_memo()
     service = ExperimentService(_service_ctx(root), workers=1,
                                 journal_dir=root / "journal").start()
     try:
@@ -331,7 +324,6 @@ def cas_shard_corrupt(root: Path, seed: int,
     reader must see a miss (exactly one quarantine, no crash), and a
     resubmission must re-simulate to byte-identical results."""
     name = "svc-cas-corrupt"
-    clear_memo()
     ctx = _service_ctx(root)
     service = ExperimentService(ctx, workers=1, journal_dir=None).start()
     try:
@@ -376,7 +368,6 @@ def cas_shard_corrupt(root: Path, seed: int,
     if not quarantined:
         return _classify(name, seed, SILENT,
                          detail=f"{detail}; entry was not quarantined")
-    clear_memo()                        # the reborn run must simulate
     reborn = ExperimentService(_service_ctx(root), workers=1,
                                journal_dir=None).start()
     try:
@@ -448,7 +439,6 @@ def stalled_stream(root: Path, seed: int,
     stream, and the served bytes must stay identical — the stall is
     provably *masked*."""
     name = "svc-stalled-stream"
-    clear_memo()
     service = ExperimentService(_service_ctx(root), workers=1,
                                 journal_dir=None).start()
     harness = _HttpHarness(service)

@@ -44,7 +44,7 @@ JOB_STATES = (QUEUED, RUNNING, DONE, FAILED)
 #: Where a finished job's result came from, service-side.
 SOURCE_FRESH = "fresh"          # this submission triggered a simulation
 SOURCE_COALESCED = "coalesced"  # attached to an identical in-flight job
-SOURCE_STORE = "store"          # served from the shared CAS / memo
+SOURCE_STORE = "store"          # served from the shared CAS
 
 #: Hard ceiling on jobs per submission (a sweep bigger than this is
 #: split client-side; protects the admission path from one giant POST).

@@ -17,7 +17,7 @@ the same object.  It owns six pieces of machinery:
 * a pool of **runner threads**, each executing one admitted job at a
   time through a :class:`~repro.exec.engine.RunEngine` under the
   service's :class:`~repro.exec.context.RunContext` — so a served job
-  gets the cache tiers, retries, timeouts, spans, and metrics a local
+  gets the disk cache, retries, timeouts, spans, and metrics a local
   CLI run gets, and its result lands in the shared (sharded, when
   ``cache_layout="cas"``) content-addressed store;
 * a **durable sweep journal** (:mod:`repro.service.journal`, enabled
@@ -861,7 +861,7 @@ class ExperimentService:
         if result is not None:
             payload = canonical_result_bytes(result_to_dict(result))
             if outcome is not None and outcome.attempts == 0:
-                # The engine served it from a cache tier without
+                # The engine served it from the disk cache without
                 # simulating (e.g. another process warmed the store).
                 source = SOURCE_STORE
             registry.histogram("service.job_seconds").observe(wall)

@@ -14,15 +14,10 @@ import json
 import pytest
 
 from repro.core.config import BASELINE
-from repro.exec import (
-    GLOBAL_STATS,
-    Job,
-    ResultCache,
-    RunContext,
-    RunEngine,
-    clear_memo,
-)
-from repro.exec.engine import _MEMO, pick_job
+from repro.exec import Job, ResultCache, RunContext, RunEngine
+from repro.exec.engine import pick_job
+from repro.experiments.registry import all_experiments
+from repro.perf.metrics import get_registry
 
 
 def counters(result) -> tuple:
@@ -39,6 +34,15 @@ JOB_GO = Job("go", BASELINE, 1)
 JOB_GO_PACKED = Job("go", BASELINE.with_packing(), 1)
 
 
+@pytest.fixture(scope="module")
+def go_result():
+    return RunEngine(RunContext(backend="fast", use_cache=False)).run(JOB_GO)
+
+
+def fresh_runs() -> int:
+    return get_registry().snapshot()["counters"].get("engine.fresh_runs", 0)
+
+
 class TestDeterminismAcrossTiers:
     def test_serial_pool_and_cache_agree_bit_exact(self, tmp_path):
         # Tier A: fresh serial run, no caching anywhere.
@@ -46,13 +50,11 @@ class TestDeterminismAcrossTiers:
             [JOB_GO, JOB_GO_PACKED])
 
         # Tier B: fresh run through a 2-worker process pool, cache on.
-        clear_memo()
         pooled_engine = RunEngine(RunContext(cache_dir=tmp_path, jobs=2))
         pooled = pooled_engine.run_jobs([JOB_GO, JOB_GO_PACKED])
         assert pooled_engine.stats.fresh_runs == 2
 
-        # Tier C: rehydrated from the on-disk cache, memo cleared.
-        clear_memo()
+        # Tier C: rehydrated from the on-disk cache.
         warm_engine = RunEngine(RunContext(cache_dir=tmp_path, jobs=2))
         warm = warm_engine.run_jobs([JOB_GO, JOB_GO_PACKED])
         assert warm_engine.stats.fresh_runs == 0
@@ -64,7 +66,6 @@ class TestDeterminismAcrossTiers:
                     == counters(warm[job.key]))
 
     def test_pool_merging_is_submission_ordered(self, tmp_path):
-        clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path, jobs=2))
         results = engine.run_jobs([JOB_GO, JOB_GO_PACKED])
         assert list(results) == [JOB_GO.key, JOB_GO_PACKED.key]
@@ -116,10 +117,8 @@ class TestPoolPlacement:
         # one of the first two, so it is affine whatever the timing.
         jobs = [JOB_GO, JOB_GO_PACKED,
                 Job("go", BASELINE.with_packing(replay=True), 1)]
-        clear_memo()
         serial = RunEngine(RunContext(use_cache=False, backend="fast")
                            ).run_jobs(jobs)
-        clear_memo()
         engine = RunEngine(RunContext(use_cache=False, backend="fast",
                                       jobs=2))
         pooled = engine.run_jobs(jobs)
@@ -133,12 +132,10 @@ class TestPoolPlacement:
 
 class TestCacheFallback:
     def test_corrupt_entry_falls_back_to_fresh_simulation(self, tmp_path):
-        clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path))
         good = engine.run(JOB_GO)
         cache = ResultCache(tmp_path)
         cache.path(JOB_GO).write_text("garbage{", encoding="utf-8")
-        clear_memo()
 
         retry_engine = RunEngine(RunContext(cache_dir=tmp_path))
         retry = retry_engine.run(JOB_GO)
@@ -149,7 +146,6 @@ class TestCacheFallback:
         assert cache.load(JOB_GO) is not None
 
     def test_stale_schema_entry_falls_back_to_fresh(self, tmp_path):
-        clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path))
         good = engine.run(JOB_GO)
         cache = ResultCache(tmp_path)
@@ -157,7 +153,6 @@ class TestCacheFallback:
         entry = json.loads(path.read_text(encoding="utf-8"))
         entry["schema"] = "repro-exec/0"
         path.write_text(json.dumps(entry), encoding="utf-8")
-        clear_memo()
 
         retry_engine = RunEngine(RunContext(cache_dir=tmp_path))
         retry = retry_engine.run(JOB_GO)
@@ -171,25 +166,15 @@ class TestEnginePolicy:
         engine.run_jobs([JOB_GO, JOB_GO, JOB_GO, JOB_GO_PACKED])
         assert engine.stats.jobs_requested == 4
         assert engine.stats.jobs_unique == 2
-        assert engine.stats.fresh_runs + engine.stats.memo_hits == 2
-
-    def test_memo_shared_across_engines(self):
-        RunEngine(RunContext()).run(JOB_GO)
-        second = RunEngine(RunContext())
-        second.run(JOB_GO)
-        assert second.stats.memo_hits == 1
-        assert second.stats.fresh_runs == 0
+        assert engine.stats.fresh_runs == 2
 
     def test_use_cache_false_bypasses_and_stores_nothing(self, tmp_path):
-        clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path, use_cache=False))
         engine.run(JOB_GO)
         assert engine.stats.fresh_runs == 1
-        assert JOB_GO.key not in _MEMO
         assert ResultCache(tmp_path).entries() == []
 
     def test_refresh_overwrites_cache_entry(self, tmp_path):
-        clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path))
         engine.run(JOB_GO)
         path = ResultCache(tmp_path).path(JOB_GO)
@@ -199,7 +184,6 @@ class TestEnginePolicy:
                                               refresh=True))
         refresh_engine.run(JOB_GO)
         assert refresh_engine.stats.fresh_runs == 1
-        assert refresh_engine.stats.memo_hits == 0
         assert path.stat().st_mtime_ns >= before
 
     def test_invalid_jobs_rejected(self):
@@ -209,7 +193,6 @@ class TestEnginePolicy:
 
 class TestObsThroughEngine:
     def test_fresh_run_writes_manifest(self, tmp_path):
-        clear_memo()
         ctx = RunContext(obs_dir=tmp_path / "obs",
                          cache_dir=tmp_path / "cache")
         RunEngine(ctx).run(JOB_GO)
@@ -220,11 +203,9 @@ class TestObsThroughEngine:
         assert manifest["windows"]
 
     def test_warm_cache_rematerializes_manifest(self, tmp_path):
-        clear_memo()
         cache_dir = tmp_path / "cache"
         RunEngine(RunContext(obs_dir=tmp_path / "obs1",
                              cache_dir=cache_dir)).run(JOB_GO)
-        clear_memo()
 
         warm = RunEngine(RunContext(obs_dir=tmp_path / "obs2",
                                     cache_dir=cache_dir))
@@ -236,10 +217,8 @@ class TestObsThroughEngine:
         assert first.read_text() == second.read_text()
 
     def test_obs_request_refuses_uninstrumented_entry(self, tmp_path):
-        clear_memo()
         cache_dir = tmp_path / "cache"
         RunEngine(RunContext(cache_dir=cache_dir)).run(JOB_GO)  # no obs
-        clear_memo()
 
         obs_engine = RunEngine(RunContext(obs_dir=tmp_path / "obs",
                                           cache_dir=cache_dir))
@@ -247,6 +226,20 @@ class TestObsThroughEngine:
         # The cached entry has no manifest, so obs forces a fresh run.
         assert obs_engine.stats.fresh_runs == 1
         assert list((tmp_path / "obs").glob("go-*.json"))
+
+    def test_obs_engine_reruns_a_job_another_engine_ran(self, tmp_path):
+        RunEngine(RunContext()).run(JOB_GO)
+        obs_engine = RunEngine(RunContext(obs_dir=tmp_path / "obs"))
+        obs_engine.run(JOB_GO)
+        assert obs_engine.stats.fresh_runs == 1
+        assert warm_manifest_name(tmp_path, "obs")
+
+    def test_run_workload_writes_each_obs_contexts_manifest(self, tmp_path):
+        from repro.experiments.base import run_workload
+        for sub in ("obs1", "obs2"):
+            run_workload("go", ctx=RunContext(obs_dir=tmp_path / sub))
+        assert (warm_manifest_name(tmp_path, "obs1")
+                == warm_manifest_name(tmp_path, "obs2"))
 
 
 def warm_manifest_name(tmp_path, sub) -> str:
@@ -288,19 +281,23 @@ class TestExperimentRegistry:
         # baseline + packed runs under the combining predictor overlap
         assert len(shared) >= 2 * 14
 
-    def test_declared_jobs_cover_render(self, monkeypatch):
-        """After the engine pre-runs an experiment's declared job set,
-        rendering performs zero fresh simulations."""
-        from repro.experiments import fig1_cumulative_widths as fig1
-        from repro.experiments.registry import get_experiment
-        monkeypatch.setattr(fig1, "spec_names", lambda: ("go",))
-        exp = get_experiment("fig1")
+    @pytest.mark.parametrize("name", [
+        name for name, exp in all_experiments().items() if exp.jobs(1)])
+    def test_render_reads_exactly_its_declared_jobs(self, name, go_result):
+        """A renderer reads each job its ``jobs()`` declares and no
+        other, so the runner's batch serves every read."""
+        exp = all_experiments()[name]
+        declared = {job.key for job in exp.jobs(1)}
+        read = set()
 
-        RunEngine(RunContext()).run_jobs(exp.jobs(1))
-        fresh_before = GLOBAL_STATS.fresh_runs
-        text = exp.render(1)
-        assert GLOBAL_STATS.fresh_runs == fresh_before
-        assert "Figure 1" in text and "go" in text
+        def result(workload, config, scale):
+            job = Job(workload, config, scale)
+            assert job.key in declared, f"{name} reads {job.stem()}"
+            read.add(job.key)
+            return go_result
+
+        assert exp.render(1, result)
+        assert read == declared
 
 
 class TestRunnerCLI:
@@ -312,6 +309,41 @@ class TestRunnerCLI:
         # Stream contract: the engine summary is progress, not output.
         assert "engine:" in captured.err
         assert "engine:" not in captured.out
+
+    def test_render_reads_the_batch(self, monkeypatch, capsys):
+        """Under --no-cache the fast batch's result renders the figure:
+        nothing is simulated again, least of all on the reference
+        machine."""
+        from repro.core.machine import Machine
+        from repro.experiments import fig1_cumulative_widths as fig1
+        from repro.experiments.runner import main
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the reference machine ran")
+
+        monkeypatch.setattr(fig1, "spec_names", lambda: ("go",))
+        monkeypatch.setattr(Machine, "run", refuse)
+        before = fresh_runs()
+        assert main(["--backend", "fast", "--no-cache", "fig1"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row for row in rows if row.split()[:1] == ["go"]]
+        assert fresh_runs() - before == 1
+
+    def test_undeclared_job_is_not_rendered(self, monkeypatch, capsys):
+        """A renderer reading a job its experiment never declared gets
+        an error naming the job, not a simulation."""
+        from dataclasses import replace
+        from repro.experiments import fig1_cumulative_widths as fig1
+        from repro.experiments import registry
+        from repro.experiments.runner import main
+        monkeypatch.setattr(fig1, "spec_names", lambda: ("go",))
+        monkeypatch.setitem(registry._REGISTRY, "fig1", replace(
+            registry._REGISTRY["fig1"], jobs=lambda scale: []))
+        before = fresh_runs()
+        assert main(["fig1"]) == 1
+        err = capsys.readouterr().err
+        assert f"no result for job {JOB_GO.stem()}" in err
+        assert fresh_runs() == before
 
     def test_no_cache_and_refresh_flags_accepted(self, tmp_path, capsys):
         from repro.experiments.runner import main

@@ -25,7 +25,6 @@ from repro.exec import (
     RunEngine,
     ShardedResultCache,
     add_engine_arguments,
-    clear_memo,
     context_from_args,
     validate_engine_args,
 )
@@ -59,7 +58,6 @@ class TestShardKey:
 
 class TestShardedLayout:
     def run_into(self, directory, layout):
-        clear_memo()
         ctx = RunContext(cache_dir=directory, cache_layout=layout)
         return RunEngine(ctx).run(GO)
 
@@ -84,7 +82,6 @@ class TestShardedLayout:
 
     def test_warm_hit_through_engine(self, tmp_path):
         first = self.run_into(tmp_path / "cas", "cas")
-        clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path / "cas",
                                       cache_layout="cas"))
         second = engine.run(GO)
@@ -108,7 +105,6 @@ class TestShardedLayout:
         raw[len(raw) // 2] ^= 0x40
         path.write_bytes(bytes(raw))
 
-        clear_memo()
         engine = RunEngine(RunContext(cache_dir=tmp_path / "cas",
                                       cache_layout="cas"))
         recovered = engine.run(GO)

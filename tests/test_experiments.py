@@ -161,11 +161,11 @@ class TestReportFormatting:
         assert closed.gap_closed_pct == 100.0
 
     def test_runner_registry(self):
-        from repro.experiments.runner import EXPERIMENTS
+        from repro.experiments.registry import experiment_names
         for key in ("table1", "table4", "fig1", "fig2", "fig4", "fig5",
                     "fig6", "fig7", "fig10", "fig10-replay",
                     "fig10-8wide", "fig11", "loaddetect"):
-            assert key in EXPERIMENTS
+            assert key in experiment_names()
 
 
 class TestRunnerCLI:

@@ -64,7 +64,7 @@ from repro.core.config import (
 )
 from repro.core.feed import Feed
 from repro.core.machine import Machine
-from repro.exec import Job, RunContext, RunEngine, clear_memo
+from repro.exec import Job, RunContext, RunEngine
 from repro.exec.serialize import dict_divergences, result_to_dict
 from repro.fastsim import cli as equivalence_cli
 from repro.fastsim import machine as fast_machine
@@ -956,13 +956,6 @@ class TestWarmKey:
 
 # ----------------------------------------------------------------- engine
 
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    clear_memo()
-    yield
-    clear_memo()
-
-
 JOB = Job("go", BASELINE, 1)
 
 
@@ -974,7 +967,6 @@ class TestEngineBackend:
 
     def test_fast_matches_reference_through_engine(self):
         ref = RunEngine(RunContext(use_cache=False)).run(JOB)
-        clear_memo()
         fast = RunEngine(RunContext(backend="fast",
                                     use_cache=False)).run(JOB)
         assert dict_divergences(result_to_dict(ref),

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import BASELINE
 from repro.exec.context import RunContext
-from repro.exec.engine import RunEngine, clear_memo
+from repro.exec.engine import RunEngine
 from repro.exec.jobs import Job
 from repro.perf.metrics import (
     SCHEMA,
@@ -24,10 +24,8 @@ from repro.perf.metrics import (
 @pytest.fixture(autouse=True)
 def _fresh_registry():
     reset_registry()
-    clear_memo()
     yield
     reset_registry()
-    clear_memo()
 
 
 class TestMetricSemantics:
@@ -150,7 +148,6 @@ class TestEngineIntegration:
         ctx = RunContext(cache_dir=tmp_path / "c", jobs=1)
         engine = RunEngine(ctx)
         engine.run_jobs(self.jobs())
-        clear_memo()
         warm = RunEngine(ctx)
         warm.run_jobs(self.jobs())
         counters = get_registry().snapshot()["counters"]

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import BASELINE
 from repro.exec.context import RunContext
-from repro.exec.engine import RunEngine, clear_memo
+from repro.exec.engine import RunEngine
 from repro.exec.jobs import Job
 from repro.obs.export import read_jsonl
 from repro.perf.clock import epoch_now
@@ -21,13 +21,6 @@ from repro.perf.trace import (
     read_chrome_trace,
     write_chrome_trace,
 )
-
-
-@pytest.fixture(autouse=True)
-def _cold_memo():
-    clear_memo()
-    yield
-    clear_memo()
 
 
 def small_jobs() -> list[Job]:
@@ -140,7 +133,6 @@ class TestEngineTraceContracts:
         jobs = small_jobs()
         ctx = RunContext(cache_dir=tmp_path / "c", jobs=1)
         RunEngine(ctx).run_jobs(jobs)          # populate the disk tier
-        clear_memo()
         tracer = SpanTracer()
         _, report = RunEngine(ctx, tracer=tracer).run_jobs_report(jobs)
         acc = tracer.accounting()
@@ -157,7 +149,6 @@ class TestEngineTraceContracts:
         RunEngine(ctx).run_jobs(jobs)
         structures = []
         for _ in range(2):
-            clear_memo()
             tracer = SpanTracer()
             RunEngine(ctx, tracer=tracer).run_jobs_report(jobs)
             structures.append(tracer.structure())

@@ -13,14 +13,7 @@ import json
 import pytest
 
 from repro.core.config import BASELINE
-from repro.exec import (
-    GLOBAL_STATS,
-    Job,
-    ResultCache,
-    RunContext,
-    RunEngine,
-    clear_memo,
-)
+from repro.exec import Job, ResultCache, RunContext, RunEngine
 from repro.robust.report import FAILED, OK, TIMED_OUT, RunReport, SuiteFailure
 from repro.robust.retry import RetryPolicy, jitter_fraction
 
@@ -32,20 +25,11 @@ def counters(result) -> tuple:
     return (result.stats.as_dict(), result.widths.as_dict())
 
 
-@pytest.fixture()
-def clean_slate():
-    clear_memo()
-    yield
-    clear_memo()
-
-
 @pytest.fixture(scope="module")
 def clean_results():
     """Reference counters from an undisturbed serial run."""
-    clear_memo()
     results = RunEngine(RunContext(use_cache=False)).run_jobs(
         [JOB_A, JOB_B])
-    clear_memo()
     return {key: counters(result) for key, result in results.items()}
 
 
@@ -72,7 +56,6 @@ class TestRetryPolicy:
 
 class TestRaisingWorker:
     def test_transient_crash_retries_to_success(self, tmp_path,
-                                                clean_slate,
                                                 clean_results):
         sentinel = tmp_path / "crash.once"
         ctx = RunContext(use_cache=False, jobs=2, retries=2, backoff=0.01,
@@ -87,7 +70,7 @@ class TestRaisingWorker:
             assert counters(result) == clean_results[key]
 
     def test_persistent_crash_fails_job_but_survivors_complete(
-            self, clean_slate, clean_results):
+            self, clean_results):
         ctx = RunContext(use_cache=False, jobs=2, retries=1, backoff=0.01,
                          faults={JOB_A.workload: "crash"})
         engine = RunEngine(ctx)
@@ -102,7 +85,7 @@ class TestRaisingWorker:
         assert counters(results[JOB_B.key]) == clean_results[JOB_B.key]
         assert JOB_A.key not in results
 
-    def test_run_jobs_raises_typed_suite_failure(self, clean_slate):
+    def test_run_jobs_raises_typed_suite_failure(self):
         ctx = RunContext(use_cache=False, jobs=2, retries=0,
                          faults={JOB_A.workload: "crash"})
         with pytest.raises(SuiteFailure) as excinfo:
@@ -111,23 +94,9 @@ class TestRaisingWorker:
         assert [o.job.key for o in report.failed] == [JOB_A.key]
         assert JOB_A.workload in str(excinfo.value)
 
-    def test_failed_job_is_remembered_not_resimulated(self, clean_slate):
-        ctx = RunContext(use_cache=False, jobs=2, retries=0,
-                         faults={JOB_A.workload: "crash"})
-        RunEngine(ctx).run_jobs_report([JOB_A])
-        fresh_before = GLOBAL_STATS.fresh_runs
-        # a render-phase re-request must not re-simulate (or crash)
-        _, report = RunEngine(RunContext(use_cache=False)).run_jobs_report(
-            [JOB_A])
-        assert GLOBAL_STATS.fresh_runs == fresh_before
-        outcome = report.outcome_of(JOB_A)
-        assert not outcome.ok and outcome.attempts == 0
-        assert "failed earlier this process" in outcome.error
-
 
 class TestHungWorker:
     def test_hang_times_out_and_survivor_completes(self, tmp_path,
-                                                   clean_slate,
                                                    clean_results):
         ctx = RunContext(use_cache=False, jobs=2, retries=0, timeout=15.0,
                          faults={JOB_A.workload: "hang"})
@@ -141,7 +110,6 @@ class TestHungWorker:
         assert counters(results[JOB_B.key]) == clean_results[JOB_B.key]
 
     def test_transient_hang_recovers_on_retry(self, tmp_path,
-                                              clean_slate,
                                               clean_results):
         sentinel = tmp_path / "hang.once"
         ctx = RunContext(use_cache=False, jobs=2, retries=1, timeout=15.0,
@@ -155,8 +123,7 @@ class TestHungWorker:
 
 
 class TestDeadPool:
-    def test_pool_death_requeues_and_recovers(self, tmp_path, clean_slate,
-                                              clean_results):
+    def test_pool_death_requeues_and_recovers(self, tmp_path, clean_results):
         # One worker calls os._exit mid-suite: BrokenProcessPool breaks
         # every pending future.  The engine must rebuild, requeue, and
         # still produce every result bit-exact.
@@ -170,8 +137,7 @@ class TestDeadPool:
         for key, result in results.items():
             assert counters(result) == clean_results[key]
 
-    def test_reliably_dying_job_exhausts_only_itself(self, clean_slate,
-                                                     clean_results):
+    def test_reliably_dying_job_exhausts_only_itself(self, clean_results):
         ctx = RunContext(use_cache=False, jobs=2, retries=1, backoff=0.01,
                          faults={JOB_A.workload: "die"})
         engine = RunEngine(ctx)
@@ -188,13 +154,11 @@ class TestCorruptCache:
     def _seed_cache(self, tmp_path):
         ctx = RunContext(cache_dir=tmp_path, jobs=1)
         RunEngine(ctx).run_jobs([JOB_A])
-        clear_memo()
         cache = ResultCache(tmp_path)
         [path] = cache.entries()
         return ctx, cache, path
 
     def test_garbage_json_is_quarantined_with_reason(self, tmp_path,
-                                                     clean_slate,
                                                      clean_results):
         ctx, cache, path = self._seed_cache(tmp_path)
         path.write_text("garbage{", encoding="utf-8")
@@ -211,8 +175,7 @@ class TestCorruptCache:
         # the entry was re-stored and now round-trips
         assert cache.load(JOB_A) is not None
 
-    def test_truncated_entry_is_quarantined(self, tmp_path, clean_slate,
-                                            clean_results):
+    def test_truncated_entry_is_quarantined(self, tmp_path, clean_results):
         ctx, cache, path = self._seed_cache(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
@@ -222,7 +185,7 @@ class TestCorruptCache:
         assert engine.stats.cache_quarantined == 1
 
     def test_bitflip_inside_counters_is_caught_by_integrity(
-            self, tmp_path, clean_slate, clean_results):
+            self, tmp_path, clean_results):
         # A flipped bit inside a JSON digit still parses: only the
         # integrity digest can catch it.
         ctx, cache, path = self._seed_cache(tmp_path)
@@ -234,8 +197,7 @@ class TestCorruptCache:
         assert engine.stats.cache_quarantined == 1
         assert counters(results[JOB_A.key]) == clean_results[JOB_A.key]
 
-    def test_stale_schema_is_a_plain_miss_not_quarantine(self, tmp_path,
-                                                         clean_slate):
+    def test_stale_schema_is_a_plain_miss_not_quarantine(self, tmp_path):
         ctx, cache, path = self._seed_cache(tmp_path)
         entry = json.loads(path.read_text())
         entry["schema"] = "repro-exec/1"
@@ -264,8 +226,7 @@ class TestRunReport:
 
 
 class TestRunnerDegradation:
-    def test_runner_exits_nonzero_with_summary(self, capsys, monkeypatch,
-                                               clean_slate):
+    def test_runner_exits_nonzero_with_summary(self, capsys, monkeypatch):
         from repro.experiments import fig1_cumulative_widths as fig1
         from repro.experiments.runner import main
         monkeypatch.setattr(fig1, "spec_names",

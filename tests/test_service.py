@@ -26,13 +26,13 @@ import time
 
 import pytest
 
-from repro.exec import RunContext, clear_memo
-from repro.exec.engine import GLOBAL_STATS
+from repro.exec import RunContext
 from repro.perf.metrics import get_registry
 from repro.service.api import (
     API_SCHEMA,
     Backpressure,
     ERR_DEADLINE,
+    ERR_JOB_FAILED,
     ERR_WORKER_CRASH,
     JobSpec,
     NotFound,
@@ -66,11 +66,10 @@ def _counter(name: str) -> int:
 
 class TestCoalescing:
     def test_concurrent_identical_sweeps_one_simulation(self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         service = HoldingService(ctx, queue_limit=8, workers=1).start()
         try:
-            fresh_before = GLOBAL_STATS.fresh_runs
+            fresh_before = _counter("engine.fresh_runs")
             coalesced_before = _counter("service.coalesced")
 
             first = service.submit(GO)
@@ -87,7 +86,7 @@ class TestCoalescing:
             assert final_first.ok and final_second.ok
 
             # Exactly one simulation ran for the two sweeps.
-            assert GLOBAL_STATS.fresh_runs - fresh_before == 1
+            assert _counter("engine.fresh_runs") - fresh_before == 1
             assert _counter("service.coalesced") - coalesced_before == 1
 
             # Both submitters read the same bytes, and those bytes are
@@ -108,7 +107,6 @@ class TestCoalescing:
             service.shutdown()
 
     def test_terminal_sweep_serves_from_store(self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         service = ExperimentService(ctx, workers=1).start()
         try:
@@ -123,7 +121,6 @@ class TestCoalescing:
             service.shutdown()
 
     def test_store_survives_service_restart(self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         service = ExperimentService(ctx, workers=1).start()
         try:
@@ -133,7 +130,6 @@ class TestCoalescing:
         finally:
             service.shutdown()
 
-        clear_memo()                    # only the disk store remains
         reborn = ExperimentService(ctx, workers=1).start()
         try:
             status = reborn.submit(GO)
@@ -252,7 +248,6 @@ class _HttpServer:
 class TestHttpEndToEnd:
     @pytest.fixture()
     def served(self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         service = ExperimentService(ctx, queue_limit=8,
                                     workers=1).start()
@@ -312,7 +307,6 @@ class TestHttpEndToEnd:
             conn.close()
 
     def test_backpressure_over_http_with_retry_after(self, tmp_path):
-        clear_memo()
         service = HoldingService(RunContext(), queue_limit=1,
                                  workers=1).start()
         server = _HttpServer(service)
@@ -368,7 +362,6 @@ class CrashingService(ExperimentService):
 
 class TestFaultIsolation:
     def test_one_crash_fails_typed_and_the_sweep_continues(self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         service = CrashingService(ctx, workers=1, crashes=1,
                                   breaker_threshold=100).start()
@@ -399,6 +392,23 @@ class TestFaultIsolation:
         finally:
             service.shutdown()
 
+    def test_engine_failed_job_runs_again_on_resubmission(self, tmp_path):
+        ctx = RunContext(retries=0,
+                         faults={"go": f"crash:{tmp_path / 'crash.once'}"})
+        service = ExperimentService(ctx, workers=1).start()
+        try:
+            first = service.wait(service.submit(GO).sweep_id, timeout=240)
+            assert first.statuses[0].error_code == ERR_JOB_FAILED
+            retry = service.wait(service.submit(GO).sweep_id, timeout=240)
+            assert retry.statuses[0].state == "done"
+            payload = service.result_bytes(retry.statuses[0].fingerprint)
+        finally:
+            service.shutdown()
+        from repro.exec import RunEngine
+        from repro.exec.serialize import result_to_dict
+        local = RunEngine(RunContext()).run(GO.jobs[0].resolve())
+        assert payload == canonical_result_bytes(result_to_dict(local))
+
 
 class TestCircuitBreaker:
     def test_consecutive_crashes_trip_typed_503(self):
@@ -427,7 +437,6 @@ class TestCircuitBreaker:
             service.shutdown()
 
     def test_half_open_success_fully_closes(self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         service = CrashingService(ctx, workers=1, crashes=2,
                                   breaker_threshold=2,
@@ -450,7 +459,6 @@ class TestCircuitBreaker:
 
 class TestDeadline:
     def test_spent_budget_fails_typed_without_running(self):
-        clear_memo()
         service = HoldingService(RunContext(), workers=1).start()
         try:
             first = service.submit(GO)
@@ -458,7 +466,7 @@ class TestDeadline:
             # The held job eats the second sweep's entire budget while
             # it sits in the queue.
             expired_before = _counter("service.deadline.expired")
-            fresh_before = GLOBAL_STATS.fresh_runs
+            fresh_before = _counter("engine.fresh_runs")
             second = service.submit(SubmitRequest(
                 jobs=(JobSpec(workload="compress"),),
                 deadline_seconds=0.05))
@@ -474,7 +482,7 @@ class TestDeadline:
             # The expired job never reached the engine: only the held
             # first job simulated.
             service.wait(first.sweep_id, timeout=240)
-            assert GLOBAL_STATS.fresh_runs - fresh_before == 1
+            assert _counter("engine.fresh_runs") - fresh_before == 1
         finally:
             service.release.set()
             service.shutdown()
@@ -483,7 +491,6 @@ class TestDeadline:
 class TestDrain:
     def test_graceful_drain_parks_queued_and_finishes_inflight(
             self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         journal_dir = tmp_path / "journal"
         service = HoldingService(ctx, workers=1,
@@ -524,7 +531,6 @@ class TestDrain:
 
         # The parked job belongs to the next incarnation: a service
         # over the same journal resumes and completes it.
-        clear_memo()
         reborn = ExperimentService(ctx, workers=1,
                                    journal_dir=journal_dir).start()
         try:
@@ -536,7 +542,6 @@ class TestDrain:
 
 class TestHealthEndpoints:
     def test_livez_and_readyz_split(self, tmp_path):
-        clear_memo()
         ctx = RunContext(cache_dir=tmp_path / "cas", cache_layout="cas")
         service = ExperimentService(ctx, workers=1,
                                     journal_dir=tmp_path / "journal"
@@ -567,7 +572,6 @@ class TestHealthEndpoints:
             service.shutdown()
 
     def test_oversized_request_gets_typed_413(self, tmp_path):
-        clear_memo()
         service = ExperimentService(RunContext(), workers=1).start()
         server = _HttpServer(service)
         try:

@@ -24,8 +24,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.exec import RunContext, RunEngine, clear_memo
-from repro.exec.engine import GLOBAL_STATS
+from repro.exec import RunContext, RunEngine
 from repro.exec.serialize import result_to_dict
 from repro.perf.metrics import get_registry
 from repro.service.api import JobSpec, SubmitRequest
@@ -43,7 +42,6 @@ def _counter(name: str) -> int:
 
 
 def _expected_bytes(spec: JobSpec) -> bytes:
-    clear_memo()
     result = RunEngine(RunContext(jobs=1)).run(spec.resolve())
     return canonical_result_bytes(result_to_dict(result))
 
@@ -62,9 +60,8 @@ class TestInProcessResume:
         journal = (journal_dir / JOURNAL_NAME).read_bytes()
         assert b'"job.parked"' in journal
 
-        clear_memo()
         resumed_before = _counter("service.restart.resumed")
-        fresh_before = GLOBAL_STATS.fresh_runs
+        fresh_before = _counter("engine.fresh_runs")
         second = ExperimentService(ctx, workers=1,
                                    journal_dir=journal_dir).start()
         try:
@@ -73,7 +70,7 @@ class TestInProcessResume:
             assert _counter("service.restart.resumed") - resumed_before == 1
             # The parked job was genuinely lost, so exactly one fresh
             # simulation ran — and produced the canonical bytes.
-            assert GLOBAL_STATS.fresh_runs - fresh_before == 1
+            assert _counter("engine.fresh_runs") - fresh_before == 1
             payload = second.result_bytes(final.statuses[0].fingerprint)
             assert payload == _expected_bytes(GO.jobs[0])
         finally:
@@ -91,12 +88,10 @@ class TestInProcessResume:
 
         # The job's result lands in the CAS out of band — exactly the
         # state a crash between store and journal append leaves behind.
-        clear_memo()
         RunEngine(ctx).run(GO.jobs[0].resolve())
 
-        clear_memo()
         recovered_before = _counter("service.restart.recovered_from_store")
-        fresh_before = GLOBAL_STATS.fresh_runs
+        fresh_before = _counter("engine.fresh_runs")
         second = ExperimentService(ctx, workers=1,
                                    journal_dir=journal_dir)
         try:
@@ -104,7 +99,7 @@ class TestInProcessResume:
             final = second.status(sweep_id)
             assert final.done and final.ok
             assert final.statuses[0].source == "store"
-            assert GLOBAL_STATS.fresh_runs - fresh_before == 0
+            assert _counter("engine.fresh_runs") - fresh_before == 0
             assert (_counter("service.restart.recovered_from_store")
                     - recovered_before) == 1
             payload = second.result_bytes(final.statuses[0].fingerprint)
